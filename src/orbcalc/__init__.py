@@ -2,9 +2,10 @@
 
 The package computes, in exact rational arithmetic throughout:
 
-- Dedekind sums of cyclic quotient singularities, evaluated in the
-  cyclotomic field Q(zeta_r) (:mod:`orbcalc.dedekind`,
-  :mod:`orbcalc.cyclotomic`);
+- Dedekind sums of cyclic quotient singularities, evaluated as an
+  integer cyclic convolution (:mod:`orbcalc.dedekind`), with exact
+  Q(zeta_r) arithmetic as an independent oracle
+  (:mod:`orbcalc.cyclotomic`);
 - orbifold Riemann-Roch correction terms mu, local group orders and
   Milnor numbers for the singularity types arising in non-collapsed
   limits of Kähler-Einstein Del Pezzo surfaces (:mod:`orbcalc.catalog`);
@@ -39,7 +40,13 @@ from .cyclotomic import (
     one_minus_root_inverse,
     root_of_unity,
 )
-from .dedekind import DedekindInput, dedekind_sum, dedekind_sum_float_oracle, sigma
+from .dedekind import (
+    DedekindInput,
+    dedekind_sum,
+    dedekind_sum_cyclotomic,
+    dedekind_sum_float_oracle,
+    sigma,
+)
 from .enumerator import (
     EXCLUSION_RULES,
     INEQUALITY_ONLY,
@@ -118,6 +125,7 @@ __all__ = [
     "chi_orb_from_chi",
     "cyclotomic_polynomial",
     "dedekind_sum",
+    "dedekind_sum_cyclotomic",
     "dedekind_sum_float_oracle",
     "energy_ledger",
     "enumerate_configurations",

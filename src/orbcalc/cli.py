@@ -1,7 +1,8 @@
 """Command-line front end: every operation with exact-rational output.
 
 Exit status is 0 on success, 1 on a domain error (an input the library
-refuses, like a weight sharing a factor with r), 2 on a usage error
+refuses, like a weight sharing a factor with r or a Dedekind sum over its
+work limit) or an ``--out`` path that cannot be written, 2 on a usage error
 (unparseable flags or singularity notation).  An inadmissible
 configuration is not an error: `check` reports the verdict in the body
 and exits 0.
@@ -37,6 +38,10 @@ from .invariants import OrbifoldConfig
 from .rationals import format_rational, parse_rational, rational_to_json
 
 
+class OutputError(Exception):
+    """The --out path cannot be opened or written."""
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -50,8 +55,11 @@ def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
     else:
         body = text if text.endswith("\n") else text + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(body)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(body)
+        except OSError as exc:
+            raise OutputError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(body)
 
@@ -519,7 +527,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SingularityParseError as exc:
         print(f"orbcalc: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, LookupError, ArithmeticError) as exc:
+    except (ValueError, LookupError, ArithmeticError, OutputError) as exc:
         print(f"orbcalc: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -10,14 +10,18 @@ invertible.
 The residue does not pin down which primitive r-th root zeta_r denotes;
 any consistent choice gives the same rational answers downstream.  The
 float embedding (:meth:`CyclotomicElement.embed`) fixes zeta_r =
-exp(2*pi*i/r) and exists purely as a test oracle.
+exp(2*pi*i/r).
 
-Multiplication clears denominators and convolves integer vectors (numpy
-int64 when magnitude bounds allow, exact big-int fallback otherwise), then
-reduces with a precomputed table of the residues x^(phi+t) mod Phi_r.
-All values are immutable and all operations are pure functions; the
-per-order caches are ``functools.lru_cache``-backed and safe to share
-between threads.
+The Dedekind sums themselves no longer need this field: they are an
+integer cyclic convolution (see :mod:`orbcalc.dedekind`).  Within the
+package this field is the independent exact oracle behind
+:func:`orbcalc.dedekind.dedekind_sum_cyclotomic`, which only the tests
+call.  Multiplication clears denominators, convolves the integer vectors
+in exact big-int arithmetic, then reduces with a precomputed table of the
+residues x^(phi+t) mod Phi_r; the per-order tables cost O(r^2 * phi(r)),
+so keep r small.  All values are immutable and all operations are pure
+functions; the per-order caches are ``functools.lru_cache``-backed and
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -27,10 +31,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-
-_INT64_SAFE = 2**62
+from operator import mul
 
 
 class NotRationalError(ArithmeticError):
@@ -126,18 +127,11 @@ class _Field:
                 row = shifted
                 rows.append(row)
         self.red_rows = rows
-        self.red_max = max((max(abs(c) for c in row) for row in rows), default=0)
-        self.red_np = (
-            np.array(rows, dtype=np.int64)
-            if rows and self.red_max < _INT64_SAFE
-            else None
-        )
         # x^e mod Phi_r for e = 0..r-1, integer vectors, built once
         powers = [[1] + [0] * (self.phi - 1)]
         for _ in range(r - 1):
             powers.append(self._shift_reduce(powers[-1]))
         self.powers = [tuple(p) for p in powers]
-        self.powers_max = max(max(abs(c) for c in p) for p in self.powers)
         self._one_minus_inv: list[tuple[int, ...]] | None = None
 
     def _shift_reduce(self, a: list[int]) -> list[int]:
@@ -166,19 +160,6 @@ class _Field:
     def mul_ints(self, a: list[int], b: list[int]) -> list[int]:
         if self.phi == 1:
             return [a[0] * b[0]]
-        max_a = max(abs(c) for c in a)
-        max_b = max(abs(c) for c in b)
-        bound = max_a * max_b * self.phi
-        if self.red_np is not None and bound * (1 + self.red_max * self.phi) < _INT64_SAFE:
-            conv = np.convolve(
-                np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-            )
-            head = np.zeros(self.phi, dtype=np.int64)
-            head[: min(len(conv), self.phi)] = conv[: self.phi]
-            tail = conv[self.phi :]
-            if len(tail):
-                head += tail @ self.red_np[: len(tail)]
-            return [int(c) for c in head]
         return self.reduce_ints(_poly_mul(a, b))
 
     def one_minus_root_inverses(self) -> list[tuple[int, ...]]:
@@ -190,14 +171,12 @@ class _Field:
         one extended-Euclid inversion per root.
         """
         if self._one_minus_inv is None:
-            r, phi = self.r, self.phi
-            ks = np.arange(r, dtype=object if self.powers_max * r * r >= _INT64_SAFE else np.int64)
-            pw = np.array(self.powers, dtype=ks.dtype)
+            r = self.r
+            ks = range(r)
             table = []
             for s in range(1, r):
-                idx = (s * np.arange(r)) % r
-                vec = -(ks @ pw[idx])
-                table.append(tuple(int(c) for c in np.atleast_1d(vec)))
+                rows = [self.powers[(s * k) % r] for k in ks]
+                table.append(tuple(-sum(map(mul, ks, col)) for col in zip(*rows)))
             self._one_minus_inv = table
         return self._one_minus_inv
 

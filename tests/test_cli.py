@@ -1,4 +1,6 @@
 import json
+import os
+import time
 
 import pytest
 
@@ -191,6 +193,35 @@ def test_out_writes_file_instead_of_stdout(tmp_path, capsys):
     assert out == ""
     blob = json.loads(target.read_text())
     assert blob["twelve_mu"] == {"num": 15, "den": 4}
+
+
+def test_out_to_unwritable_path_is_one_line_error(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "out.txt"
+    code, out, err = run(capsys, "bubbles", "--total", "3/2", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"orbcalc: cannot write {target}: ")
+    assert len(err.splitlines()) == 1
+    assert not target.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_write_failure_is_one_line_error(capsys):
+    code, out, err = run(capsys, "bubbles", "--total", "3/2", "--out", "/dev/full")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("orbcalc: cannot write /dev/full: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_dedekind_over_work_limit_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "dedekind", "--r", "1000000000", "--weights", "1,2,3")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert "over the limit" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_examples_all_green(capsys):

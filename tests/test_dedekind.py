@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,8 +9,11 @@ from hypothesis import strategies as st
 from orbcalc.cyclotomic import CyclotomicElement, root_of_unity
 from orbcalc.dedekind import (
     FLOAT_ORACLE_MAX_ORDER,
+    MAX_WORK,
     DedekindInput,
+    _weight_vector,
     dedekind_sum,
+    dedekind_sum_cyclotomic,
     dedekind_sum_float_oracle,
     sigma,
 )
@@ -132,3 +136,80 @@ def test_values_live_in_expected_denominator_lattice():
         for index in range(r):
             value = sigma(r, (1, r - 1), index)
             assert (value * r * r).denominator == 1
+
+
+def test_weight_vector_closed_form_matches_its_definition():
+    # C_b[s] = (r-1)*g*[g | s] - 2 * sum of the k in [0, r) with b*k = s (mod r)
+    for r in range(1, 31):
+        for b in range(r):
+            g = math.gcd(b, r)
+            expected = [(r - 1) * g if s % g == 0 else 0 for s in range(r)]
+            for k in range(r):
+                expected[b * k % r] -= 2 * k
+            assert list(_weight_vector(b, r)) == expected, (b, r)
+
+
+def _inputs(max_r):
+    # weights in [-3r, 3r] hit 0 mod r and non-coprime residues; indices may be
+    # negative or far outside [0, r)
+    return st.integers(min_value=1, max_value=max_r).flatmap(
+        lambda r: st.tuples(
+            st.just(r),
+            st.lists(
+                st.integers(min_value=-3 * r, max_value=3 * r), min_size=1, max_size=4
+            ),
+            st.one_of(
+                st.integers(min_value=-5 * r, max_value=5 * r),
+                st.integers(min_value=-(10**30), max_value=10**30),
+            ),
+        )
+    )
+
+
+@given(_inputs(40))
+@settings(max_examples=150, deadline=None)
+def test_convolution_equals_cyclotomic_oracle(case):
+    inp = DedekindInput(*case)
+    assert dedekind_sum(inp) == dedekind_sum_cyclotomic(inp)
+
+
+@given(_inputs(200))
+@settings(max_examples=150, deadline=None)
+def test_convolution_matches_float_oracle(case):
+    inp = DedekindInput(*case)
+    assert abs(dedekind_sum_float_oracle(inp) - float(dedekind_sum(inp))) < 1e-9
+
+
+def test_three_routes_on_edge_cases():
+    cases = [
+        (1, (0,), 0),
+        (1, (5, -3, 7, 0), -9),
+        (7, (0,), 3),
+        (7, (14, 3), 1),
+        (12, (4, 6), 5),
+        (12, (2, 3, 4, 6), -10**20),
+        (30, (6, 10, 15), 10**15 + 7),
+        (36, (9, 12, 24, 27), -71),
+    ]
+    for r, weights, index in cases:
+        inp = DedekindInput(r, weights, index)
+        exact = dedekind_sum(inp)
+        assert exact == dedekind_sum_cyclotomic(inp)
+        assert abs(dedekind_sum_float_oracle(inp) - float(exact)) < 1e-9
+
+
+def test_work_limit_refuses_before_allocating():
+    # m <= 2 costs r, m >= 3 costs (m - 2) * r^2
+    assert sigma(MAX_WORK, (1,), 0) == Fraction(MAX_WORK - 1, 2 * MAX_WORK)
+    side = math.isqrt(MAX_WORK)
+    sigma(side, (1, 1, 1), 0)
+    for r, weights in (
+        (MAX_WORK + 1, (1,)),
+        (MAX_WORK + 1, (1, 2)),
+        (side + 1, (1, 1, 1)),
+        (math.isqrt(MAX_WORK // 2) + 1, (1, 1, 1, 1)),
+        (10**9, (1, 2, 3)),
+        (10**100, (1,)),
+    ):
+        with pytest.raises(ValueError, match="over the limit"):
+            sigma(r, weights, 0)
