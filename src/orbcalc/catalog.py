@@ -165,6 +165,10 @@ def format_singularity(s: SingularityType) -> str:
     return f"1/{s.r}({s.b1},{s.b2})"
 
 
+#: most points one singularity list may name; every configuration inside a
+#: degree's energy budget has at most 14
+MAX_POINTS = 1000
+
 _ADE_RE = re.compile(r"^([ADE])(\d+)$")
 _CYCLIC_RE = re.compile(r"^1/(\d+)\((-?\d+),(-?\d+)\)$")
 _MULT_RE = re.compile(r"^(\d+)[xX](.*)$")
@@ -216,7 +220,8 @@ def parse_singularity_list(text: str) -> tuple[SingularityType, ...]:
 
     Each item is ``[Nx ]TYPE``; whitespace is insignificant and blank
     segments are skipped.  Returns the multiset with multiplicities
-    expanded, in canonical order.
+    expanded, in canonical order.  A list naming more than
+    :data:`MAX_POINTS` points raises ``ValueError`` before it is expanded.
     """
     out: list[SingularityType] = []
     for raw, offset in _split_top_level(text):
@@ -233,6 +238,8 @@ def parse_singularity_list(text: str) -> tuple[SingularityType, ...]:
                 raise SingularityParseError(raw.strip(), offset)
             item = rest
         s = parse_singularity(item, offset)
+        if len(out) + count > MAX_POINTS:
+            raise ValueError(f"singularity list names more than {MAX_POINTS} points")
         out.extend([s] * count)
     return tuple(sorted(out, key=sort_key))
 

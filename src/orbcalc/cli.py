@@ -18,6 +18,7 @@ stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -179,9 +180,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    result = enumerator.enumerate_configurations(
-        args.degree, args.mode, max_workers=args.workers
-    )
+    result = enumerator.enumerate_configurations(args.degree, args.mode)
     _emit(args, result.to_text(), result.to_json_dict())
     return 0
 
@@ -313,9 +312,12 @@ def _verification_checks() -> list[tuple[str, str, Callable[[], object]]]:
         lambda: enumerator.check_config(degree1_example).hrr.picard_rank,
     )
 
+    @functools.cache
+    def enumeration(degree: int, mode: str) -> enumerator.EnumerationResult:
+        return enumerator.enumerate_configurations(degree, mode)
+
     def max_mult(degree: int, mode: str, type_name: str) -> int:
-        result = enumerator.enumerate_configurations(degree, mode)
-        return result.max_multiplicity()[type_name]
+        return enumeration(degree, mode).max_multiplicity()[type_name]
 
     add("degree 3: max A1 multiplicity", 5, lambda: max_mult(3, "with-exclusions", "A1"))
     for name, expected in (("A1", 6), ("A2", 3), ("A3", 2)):
@@ -492,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        help="partition the search over this many workers (same output)",
+        help="accepted for compatibility and ignored: the search is serial",
     )
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_enumerate)

@@ -9,9 +9,9 @@ its total bubble energy is pinned between 0 and 12 - d:
 Since every type's energy is positive, the multisets satisfying the
 inequality form a finite set which depth-first search enumerates exactly:
 types in catalog order, multiplicity descending, pruning a branch the
-moment its partial energy reaches the budget.  Every surviving
-configuration gets the full identity report (Milnor ledger, derived
-Picard rank, bubble-count window).
+moment its partial energy reaches the budget.  Every configuration found
+gets one full identity report (Milnor ledger, derived Picard rank,
+bubble-count window, exclusion verdicts), built in a single pass.
 
 Two modes.  ``inequality-only`` is precisely the energy inequality.
 ``with-exclusions`` additionally applies named exclusion rules that
@@ -19,14 +19,14 @@ encode the known classification of limits with only du Val singularities;
 the sharper published multiplicity bounds (for instance, at most one
 A4 point in degree 2) need those classifications, not just the budget.
 Rules are data, not control flow: each has a name, a docstring, and can
-be dropped or added by passing a custom rule list.
+be dropped or added by passing a custom rule list.  A rule's predicate
+receives the configuration as a ``Counter`` multiset (type -> count).
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -54,52 +54,51 @@ _ALLOWED_TYPES: dict[int, tuple[SingularityType, ...]] = {
 }
 
 
-def _du_val_only(sings: Sequence[SingularityType]) -> bool:
-    return all(isinstance(s, ADE) for s in sings)
+def _du_val_only(counts: Counter) -> bool:
+    return all(isinstance(s, ADE) for s in counts)
 
 
 @dataclass(frozen=True)
 class ExclusionRule:
-    """A named, documented predicate; True means the configuration survives."""
+    """A named, documented predicate; True means the configuration survives.
+
+    The predicate receives the configuration as a ``Counter`` multiset.
+    """
 
     name: str
     degree: int
     description: str
-    predicate: Callable[[tuple[SingularityType, ...]], bool]
+    predicate: Callable[[Counter], bool]
 
     def passes(self, sings: Iterable[SingularityType]) -> bool:
-        return self.predicate(tuple(sings))
+        return self.predicate(Counter(sings))
 
 
-def _rule_du_val_degree_4(sings: tuple[SingularityType, ...]) -> bool:
-    if not sings or not _du_val_only(sings):
+def _rule_du_val_degree_4(counts: Counter) -> bool:
+    if not counts or not _du_val_only(counts):
         return True
-    counts = Counter(sings)
     return set(counts) == {ADE("A", 1)} and sum(counts.values()) in (2, 4)
 
 
-def _rule_du_val_degree_3(sings: tuple[SingularityType, ...]) -> bool:
-    if not sings or not _du_val_only(sings):
+def _rule_du_val_degree_3(counts: Counter) -> bool:
+    if not counts or not _du_val_only(counts):
         return True
-    counts = Counter(sings)
     if set(counts) == {ADE("A", 1)}:
         return True
     return counts == Counter({ADE("A", 2): 3})
 
 
-def _rule_du_val_degree_2(sings: tuple[SingularityType, ...]) -> bool:
-    if not sings or not _du_val_only(sings):
+def _rule_du_val_degree_2(counts: Counter) -> bool:
+    if not counts or not _du_val_only(counts):
         return True
-    counts = Counter(sings)
     if set(counts) <= {ADE("A", 1), ADE("A", 2)}:
         return True
     return counts == Counter({ADE("A", 3): 2})
 
 
-def _rule_du_val_degree_1(sings: tuple[SingularityType, ...]) -> bool:
-    if not sings or not _du_val_only(sings):
+def _rule_du_val_degree_1(counts: Counter) -> bool:
+    if not counts or not _du_val_only(counts):
         return True
-    counts = Counter(sings)
     if all(s.family == "A" and s.index <= 7 for s in counts):
         return True
     return counts == Counter({ADE("D", 4): 2})
@@ -193,21 +192,22 @@ def check_config(
     rules = rules_for_degree(config.degree, exclusion_rules)
     sings = config.singularities
     try:
-        twelve_mu = invariants.bubble_energy_from_mu(sings)
         hrr = invariants.hrr_milnor_check(config)
     except NotTabulatedError as exc:
         raise NotTabulatedError(
             f"type not admissible for this analysis: {exc}"
         ) from None
-    sum_one_minus = sum(
-        (1 - Fraction(1, catalog.group_order(s)) for s in sings), Fraction(0)
-    )
-    bubbles = invariants.bubble_count_bounds(twelve_mu)
+    twelve_mu = hrr.twelve_sum_mu
+    if twelve_mu < 0:
+        # a rejected configuration, not an error: budget_ok is False too
+        bubbles = invariants.BubbleBounds(0, 0, False, violation="negative total energy")
+    else:
+        bubbles = invariants.bubble_count_bounds(twelve_mu)
     chi_orb = None
     chi_limit_value = None
     chi_limit_check = None
     if config.euler_topological is not None:
-        chi_orb = invariants.chi_orb_from_chi(config.euler_topological, sings)
+        chi_orb = config.euler_topological - hrr.sum_one_minus
         chi_limit_value = chi_orb + twelve_mu
         chi_limit_check = invariants.IdentityCheck(
             "chi_limit_equals_12_minus_d",
@@ -222,7 +222,6 @@ def check_config(
         config=config,
         twelve_sum_mu=twelve_mu,
         budget=rules.budget,
-        sum_one_minus=sum_one_minus,
         hrr=hrr,
         bubbles=bubbles,
         chi_orb=chi_orb,
@@ -234,13 +233,9 @@ def check_config(
 
 
 def _descending_counts(
-    energies: Sequence[Fraction], budget: Fraction, first_count: Optional[int] = None
+    energies: Sequence[Fraction], budget: Fraction
 ) -> list[tuple[int, ...]]:
-    """All count vectors with 0 < sum(c*e) < budget, in descending lex order.
-
-    ``first_count`` pins the first type's multiplicity, which is how the
-    search is partitioned for concurrent runs.
-    """
+    """All count vectors with 0 < sum(c*e) < budget, in descending lex order."""
     n = len(energies)
     counts = [0] * n
     out: list[tuple[int, ...]] = []
@@ -256,14 +251,7 @@ def _descending_counts(
             if total > 0:
                 out.append(tuple(counts))
             return
-        top = max_count(i, budget - total)
-        if i == 0 and first_count is not None:
-            if first_count > top:
-                return
-            span = (first_count,)
-        else:
-            span = range(top, -1, -1)
-        for c in span:
+        for c in range(max_count(i, budget - total), -1, -1):
             counts[i] = c
             rec(i + 1, total + c * energies[i])
         counts[i] = 0
@@ -358,52 +346,27 @@ class EnumerationResult:
         return "\n".join(lines)
 
 
-def _survives(
-    sings: tuple[SingularityType, ...], mode: str, rules: DegreeRules
-) -> bool:
-    if mode != WITH_EXCLUSIONS:
-        return True
-    return all(r.passes(sings) for r in rules.exclusion_rules)
-
-
 def enumerate_configurations(
     degree: int,
     mode: str = WITH_EXCLUSIONS,
     exclusion_rules: Optional[Sequence[ExclusionRule]] = None,
-    max_workers: Optional[int] = None,
 ) -> EnumerationResult:
     """Enumerate every configuration satisfying the degree's constraints.
 
-    ``max_workers`` switches to a partitioned concurrent search (split on
-    the first type's multiplicity); the merged output is canonically
-    sorted and byte-identical to the serial run.
+    One depth-first search over count vectors, in descending lexicographic
+    order; each configuration gets one :func:`check_config` report, kept
+    when every exclusion rule in it passed (always, in ``inequality-only``).
     """
     _validated_mode(mode)
     rules = rules_for_degree(degree, exclusion_rules)
     types = rules.allowed_types
     energies = [12 * catalog.mu_anticanonical(t) for t in types]
-
-    if max_workers is None:
-        vectors = _descending_counts(energies, rules.budget)
-    else:
-        first_counts = range(int(rules.budget / energies[0]), -1, -1)
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            chunks = pool.map(
-                lambda c: _descending_counts(energies, rules.budget, first_count=c),
-                first_counts,
-            )
-            vectors = [v for chunk in chunks for v in chunk]
-        # canonical order: descending lexicographic count vectors, which is
-        # exactly the serial DFS emission order
-        vectors.sort(reverse=True)
-
     reports = []
-    for vec in vectors:
-        sings = _counts_to_sings(vec, types)
-        if not _survives(sings, mode, rules):
-            continue
-        config = OrbifoldConfig(degree=degree, singularities=sings)
-        reports.append(check_config(config, mode, rules.exclusion_rules))
+    for vec in _descending_counts(energies, rules.budget):
+        config = OrbifoldConfig(degree=degree, singularities=_counts_to_sings(vec, types))
+        report = check_config(config, mode, rules.exclusion_rules)
+        if all(report.exclusions.values()):
+            reports.append(report)
     smooth = check_config(
         OrbifoldConfig(degree=degree, singularities=()), mode, rules.exclusion_rules
     )

@@ -22,6 +22,7 @@ units (6*pi^2), which is the quantum used for bubble counting.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -209,6 +210,8 @@ class HrrMilnorReport:
     picard_noether: IdentityCheck
     picard_rank: Fraction
     picard_provided: bool
+    twelve_sum_mu: Fraction  # 12 * sum_p mu_p(K^-1)
+    sum_one_minus: Fraction  # sum_p (1 - 1/n_p)
 
     @property
     def picard_ok(self) -> bool:
@@ -228,15 +231,15 @@ def hrr_milnor_check(config: OrbifoldConfig) -> HrrMilnorReport:
     When the Picard rank is not supplied it is solved for from the second
     identity, and the report says whether the solution is a positive
     integer (a necessary condition for the configuration to be realized).
+    The three sums take one term per distinct type, times its count.
     """
     if config.degree is None:
         raise ValueError("hrr_milnor_check needs the degeneration degree")
-    sings = config.singularities
-    sum_one_minus = sum(
-        (1 - Fraction(1, catalog.group_order(s)) for s in sings), Fraction(0)
-    )
-    sum_milnor = sum((catalog.milnor_number(s) for s in sings), Fraction(0))
-    twelve_mu = bubble_energy_from_mu(sings, ANTICANONICAL)
+    sum_one_minus = sum_milnor = twelve_mu = Fraction(0)
+    for s, count in Counter(config.singularities).items():
+        sum_one_minus += count * (1 - Fraction(1, catalog.group_order(s)))
+        sum_milnor += count * catalog.milnor_number(s)
+        twelve_mu += count * 12 * catalog.mu_anticanonical(s)
     first = IdentityCheck("milnor_ledger", sum_one_minus + sum_milnor, twelve_mu)
     target = Fraction(10 - config.degree)
     if config.picard_rank is not None:
@@ -246,7 +249,7 @@ def hrr_milnor_check(config: OrbifoldConfig) -> HrrMilnorReport:
         rho = target - twelve_mu + sum_one_minus
         provided = False
     second = IdentityCheck("picard_noether", rho + twelve_mu - sum_one_minus, target)
-    return HrrMilnorReport(first, second, rho, provided)
+    return HrrMilnorReport(first, second, rho, provided, twelve_mu, sum_one_minus)
 
 
 @dataclass
@@ -256,7 +259,6 @@ class ConstraintReport:
     config: OrbifoldConfig
     twelve_sum_mu: Fraction
     budget: Optional[Fraction]  # 12 - d, strict upper bound; None if degree unknown
-    sum_one_minus: Fraction
     hrr: HrrMilnorReport
     bubbles: BubbleBounds
     chi_orb: Optional[Fraction] = None  # only when chi(M) was supplied

@@ -153,6 +153,14 @@ def test_parse_errors_carry_token_and_offset():
         parse_singularity_list("1/4(2,1)")
 
 
+def test_parse_list_caps_the_number_of_points():
+    assert parse_singularity_list("1000x A1") == (A(1),) * 1000
+    for text in ("1001x A1", "600x A1, 600x A2"):
+        with pytest.raises(ValueError) as info:
+            parse_singularity_list(text)
+        assert not isinstance(info.value, SingularityParseError)
+
+
 def test_format_round_trip():
     for s in (A(1), A(8), D(4), E(7), Q(4, 1, 1), Q(8, 1, 3), Q(9, 1, 2)):
         assert parse_singularity(format_singularity(s)) == s

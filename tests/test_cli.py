@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from orbcalc import enumerator
 from orbcalc.cli import main
 
 
@@ -101,6 +102,32 @@ def test_check_reports_rejection_with_exit_zero(capsys):
     assert code == 0
     assert "verdict: rejected" in out
     assert "budget: need 0 < 45/4 < 11 -> VIOLATED" in out
+
+
+def test_check_negative_energy_is_a_verdict(capsys):
+    code, out, err = run(capsys, "check", "--degree", "1", "--sings", "1/5(1,2)")
+    assert code == 0 and err == ""
+    assert "verdict: rejected" in out
+    assert "budget: need 0 < -12/5 < 11 -> VIOLATED" in out
+    code, blob, _ = run_json(capsys, "check", "--degree", "1", "--sings", "1/5(1,2)")
+    assert code == 0
+    assert blob["verdicts"]["budget_ok"] is False
+    assert blob["bubble_bounds"] == {
+        "min": 0,
+        "max": 0,
+        "exact_fit": False,
+        "violation": "negative total energy",
+    }
+
+
+def test_check_over_point_limit_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--degree", "1", "--sings", "1000000000x A1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert "more than 1000 points" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_check_admissible_example(capsys):
@@ -230,6 +257,21 @@ def test_verify_examples_all_green(capsys):
     summary = out.strip().splitlines()[-1]
     assert summary.endswith("0 failed")
     assert "FAIL" not in out
+
+
+def test_verify_examples_runs_each_enumeration_once(capsys, monkeypatch):
+    calls = []
+    original = enumerator.enumerate_configurations
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(enumerator, "enumerate_configurations", counted)
+    code, out, _ = run(capsys, "verify-examples")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "54 checks: 54 ok, 0 failed"
+    assert len(calls) == 4
 
 
 def test_verify_examples_json(capsys):

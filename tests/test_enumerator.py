@@ -259,16 +259,11 @@ def test_milnor_ledger_holds_on_every_enumerated_configuration():
             assert report.hrr.milnor_ledger.holds
 
 
-def test_serial_and_partitioned_runs_are_byte_identical():
+def test_repeated_runs_are_byte_identical():
     for degree in (1, 2):
-        serial = enumerate_configurations(degree, INEQUALITY_ONLY)
+        first = enumerate_configurations(degree, INEQUALITY_ONLY)
         again = enumerate_configurations(degree, INEQUALITY_ONLY)
-        assert serial.to_json() == again.to_json()
-        for workers in (2, 5):
-            parallel = enumerate_configurations(
-                degree, INEQUALITY_ONLY, max_workers=workers
-            )
-            assert serial.to_json() == parallel.to_json()
+        assert first.to_json() == again.to_json()
 
 
 def test_json_schema_keys():
