@@ -3,9 +3,7 @@
 The package computes, in exact rational arithmetic throughout:
 
 - Dedekind sums of cyclic quotient singularities, evaluated as an
-  integer cyclic convolution (:mod:`orbcalc.dedekind`), with exact
-  Q(zeta_r) arithmetic as an independent oracle
-  (:mod:`orbcalc.cyclotomic`);
+  integer cyclic convolution (:mod:`orbcalc.dedekind`);
 - orbifold Riemann-Roch correction terms mu, local group orders and
   Milnor numbers for the singularity types arising in non-collapsed
   limits of Kähler-Einstein Del Pezzo surfaces (:mod:`orbcalc.catalog`);
@@ -15,6 +13,9 @@ The package computes, in exact rational arithmetic throughout:
   energy budget 0 < 12*sum(mu) < 12 - d (:mod:`orbcalc.enumerator`).
 
 The ``orbcalc`` command line exposes all of it (:mod:`orbcalc.cli`).
+Exact Q(zeta_r) arithmetic, an independent oracle for the Dedekind sums
+that only the tests use, lives in :mod:`orbcalc.cyclotomic`; importing
+the package does not load it.
 """
 
 from .catalog import (
@@ -32,18 +33,9 @@ from .catalog import (
     parse_singularity,
     parse_singularity_list,
 )
-from .cyclotomic import (
-    CyclotomicElement,
-    NotRationalError,
-    cyclotomic_polynomial,
-    euler_phi,
-    one_minus_root_inverse,
-    root_of_unity,
-)
 from .dedekind import (
     DedekindInput,
     dedekind_sum,
-    dedekind_sum_cyclotomic,
     dedekind_sum_float_oracle,
     sigma,
 )
@@ -97,7 +89,6 @@ __all__ = [
     "CANONICAL_SQUARE",
     "ConstraintReport",
     "CyclicQuotient",
-    "CyclotomicElement",
     "DedekindInput",
     "DegreeRules",
     "EXCLUSION_RULES",
@@ -109,7 +100,6 @@ __all__ = [
     "IdentityCheck",
     "MIN_BUBBLE_ENERGY_UNITS",
     "MODES",
-    "NotRationalError",
     "NotTabulatedError",
     "OrbifoldConfig",
     "Rational",
@@ -123,14 +113,11 @@ __all__ = [
     "check_pair_rule",
     "chi_limit",
     "chi_orb_from_chi",
-    "cyclotomic_polynomial",
     "dedekind_sum",
-    "dedekind_sum_cyclotomic",
     "dedekind_sum_float_oracle",
     "energy_ledger",
     "enumerate_configurations",
     "euler_double_cover",
-    "euler_phi",
     "format_rational",
     "format_singularity",
     "format_singularity_list",
@@ -140,13 +127,11 @@ __all__ = [
     "milnor_number",
     "mu_anticanonical",
     "mu_canonical_square",
-    "one_minus_root_inverse",
     "parse_rational",
     "parse_singularity",
     "parse_singularity_list",
     "rational_from_json",
     "rational_to_json",
-    "root_of_unity",
     "rules_for_degree",
     "sigma",
 ]

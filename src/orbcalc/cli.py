@@ -189,9 +189,7 @@ def _cmd_bubbles(args: argparse.Namespace) -> int:
     bounds = invariants.bubble_count_bounds(args.total, args.quantum)
     text = (
         f"total energy {format_rational(args.total)}, "
-        f"quantum {format_rational(args.quantum)}: "
-        f"min={bounds.min_count} max={bounds.max_count} "
-        f"exact_fit={str(bounds.exact_fit).lower()}"
+        f"quantum {format_rational(args.quantum)}: {bounds.window()}"
     )
     if bounds.violation:
         text += f"\nviolation: {bounds.violation}"
@@ -382,17 +380,9 @@ def _verification_checks() -> list[tuple[str, str, Callable[[], object]]]:
     add(
         "bubble window for total 3/2 at quantum 3/4",
         "min=1 max=2 exact_fit=true",
-        lambda: _bubble_summary(Fraction(3, 2)),
+        lambda: invariants.bubble_count_bounds(Fraction(3, 2)).window(),
     )
     return checks
-
-
-def _bubble_summary(total: Fraction) -> str:
-    bounds = invariants.bubble_count_bounds(total)
-    return (
-        f"min={bounds.min_count} max={bounds.max_count} "
-        f"exact_fit={str(bounds.exact_fit).lower()}"
-    )
 
 
 def _cmd_verify_examples(args: argparse.Namespace) -> int:

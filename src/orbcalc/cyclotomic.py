@@ -12,16 +12,18 @@ any consistent choice gives the same rational answers downstream.  The
 float embedding (:meth:`CyclotomicElement.embed`) fixes zeta_r =
 exp(2*pi*i/r).
 
-The Dedekind sums themselves no longer need this field: they are an
-integer cyclic convolution (see :mod:`orbcalc.dedekind`).  Within the
-package this field is the independent exact oracle behind
-:func:`orbcalc.dedekind.dedekind_sum_cyclotomic`, which only the tests
-call.  Multiplication clears denominators, convolves the integer vectors
-in exact big-int arithmetic, then reduces with a precomputed table of the
-residues x^(phi+t) mod Phi_r; the per-order tables cost O(r^2 * phi(r)),
-so keep r small.  All values are immutable and all operations are pure
-functions; the per-order caches are ``functools.lru_cache``-backed and
-safe to share between threads.
+The Dedekind sums themselves do not need this field: they are an integer
+cyclic convolution (see :mod:`orbcalc.dedekind`).  This module is the
+independent exact oracle for them, :func:`dedekind_sum_cyclotomic`, which
+only the tests call.  It imports :mod:`orbcalc.dedekind` for the input
+type; no production module imports this one, so ``import orbcalc`` and
+the CLI never load it.  Multiplication clears denominators, convolves the
+integer vectors in exact big-int arithmetic, then reduces with the
+residues x^(phi+t) mod Phi_r, read off the power table because x^r = 1
+mod Phi_r; the per-order tables cost O(r^2 * phi(r)), so keep r small.
+All values are immutable and all operations are pure functions; the
+per-order caches are ``functools.lru_cache``-backed and safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+
+from .dedekind import DedekindInput, _admissible_roots
 
 
 class NotRationalError(ArithmeticError):
@@ -56,32 +60,14 @@ def euler_phi(r: int) -> int:
     return result
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+def _poly_mul(a: list, b: list) -> list:
+    """Product of two coefficient lists, of ints or Fractions alike."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return out
-
-
-def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    # den must be monic with integer coefficients; division is then exact over Z.
-    num = list(num)
-    dd = len(den) - 1
-    if dd == 0:
-        return num, []
-    quot = [0] * max(len(num) - dd, 0)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
-        if c:
-            quot[k - dd] = c
-            for i, d in enumerate(den):
-                num[k - dd + i] -= c * d
-    rem = num[:dd]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
 
 
 @functools.lru_cache(maxsize=None)
@@ -94,17 +80,15 @@ def cyclotomic_polynomial(r: int) -> tuple[int, ...]:
     """
     if r < 1:
         raise ValueError("cyclotomic polynomial order must be positive")
-    if r == 1:
-        return (-1, 1)
     num = [-1] + [0] * (r - 1) + [1]
-    den = [1]
+    den = [Fraction(1)]  # a Fraction divisor keeps the long division exact
     for d in range(1, r):
         if r % d == 0:
             den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    quot, rem = _poly_divmod_monic(num, den)
+    quot, rem = _frac_poly_divmod(num, den)
     assert not rem, f"x^{r} - 1 not divisible by its proper cyclotomic factors"
     assert len(quot) - 1 == euler_phi(r)
-    return tuple(quot)
+    return tuple(int(c) for c in quot)
 
 
 class _Field:
@@ -114,34 +98,22 @@ class _Field:
         self.r = r
         self.phi = euler_phi(r)
         self.poly = cyclotomic_polynomial(r)
-        # red[t] = coefficient vector of x^(phi+t) mod Phi_r, t = 0..phi-2
-        rows: list[list[int]] = []
-        if self.phi > 1:
-            row = [-c for c in self.poly[:-1]]
-            rows.append(row)
-            for _ in range(self.phi - 2):
-                shifted = [0] + row[:-1]
-                top = row[-1]
-                if top:
-                    shifted = [s + top * r0 for s, r0 in zip(shifted, rows[0])]
-                row = shifted
-                rows.append(row)
-        self.red_rows = rows
+        # x^phi mod Phi_r, which is all one multiplication by x needs
+        self._x_phi = [-c for c in self.poly[:-1]]
         # x^e mod Phi_r for e = 0..r-1, integer vectors, built once
         powers = [[1] + [0] * (self.phi - 1)]
         for _ in range(r - 1):
             powers.append(self._shift_reduce(powers[-1]))
         self.powers = [tuple(p) for p in powers]
+        # red_rows[t] = x^(phi+t) mod Phi_r, t = 0..phi-2; x^r = 1 mod Phi_r
+        self.red_rows = [self.powers[(self.phi + t) % r] for t in range(self.phi - 1)]
         self._one_minus_inv: list[tuple[int, ...]] | None = None
 
     def _shift_reduce(self, a: list[int]) -> list[int]:
-        if self.phi == 1:
-            # x = root itself: x^(e+1) = x^e * x, and x mod Phi is a constant
-            return [a[0] * -self.poly[0]]
         out = [0] + a[:-1]
         top = a[-1]
         if top:
-            out = [s + top * r0 for s, r0 in zip(out, self.red_rows[0])]
+            out = [s + top * r0 for s, r0 in zip(out, self._x_phi)]
         return out
 
     def reduce_ints(self, conv: list[int]) -> list[int]:
@@ -158,8 +130,6 @@ class _Field:
         return head
 
     def mul_ints(self, a: list[int], b: list[int]) -> list[int]:
-        if self.phi == 1:
-            return [a[0] * b[0]]
         return self.reduce_ints(_poly_mul(a, b))
 
     def one_minus_root_inverses(self) -> list[tuple[int, ...]]:
@@ -367,22 +337,11 @@ def _modular_inverse_poly(a: list[Fraction], modulus: list[Fraction]) -> list[Fr
     while any(c != 0 for c in r1):
         q, rem = _frac_poly_divmod(r0, r1)
         r0, r1 = r1, rem
-        qt1 = _frac_poly_mul(q, t1)
+        qt1 = _poly_mul(q, t1)
         t0, t1 = t1, _frac_poly_sub(t0, qt1)
     # r0 is now a nonzero constant gcd
     g = r0[0]
     return [c / g for c in t0]
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -414,3 +373,29 @@ def one_minus_root_inverse(r: int, s: int) -> CyclotomicElement:
     fd = _field(r)
     numer = fd.one_minus_root_inverses()[s - 1]
     return CyclotomicElement(r, tuple(Fraction(c, r) for c in numer))
+
+
+def dedekind_sum_cyclotomic(inp: DedekindInput) -> Fraction:
+    """The Dedekind root sum evaluated exactly in Q(zeta_r): a test oracle.
+
+    Each term is the power vector of zeta^(index*j) multiplied by the scaled
+    numerators r/(1 - zeta^(j*b_t)), so every factor carries denominator r
+    and the whole sum shares the denominator r^(len(weights) + 1), divided
+    out once at the end.  The field tables cost O(r^2 * phi(r)) in pure
+    Python, so keep r small.
+    """
+    r = inp.r
+    roots = _admissible_roots(inp)
+    if not roots:
+        return Fraction(0)
+    field = _field(r)
+    inverses = field.one_minus_root_inverses()
+    acc = [0] * field.phi
+    for j in roots:
+        vec = list(field.powers[(inp.index * j) % r])
+        for b in inp.weights:
+            vec = field.mul_ints(vec, list(inverses[(j * b) % r - 1]))
+        for t, c in enumerate(vec):
+            acc[t] += c
+    total = CyclotomicElement(r, tuple(Fraction(c) for c in acc))
+    return total.to_rational() / r ** (len(inp.weights) + 1)

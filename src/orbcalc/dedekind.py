@@ -36,9 +36,12 @@ A weight divisible by r gives C_b = 0, so the sum is empty and the value
 is 0 by convention; callers that need the geometric coprimality
 conditions enforce them at their own layer.
 
-Two independent routes serve as test oracles and nothing else:
-:func:`dedekind_sum_cyclotomic` runs the root sum exactly in Q(zeta_r),
-and :func:`dedekind_sum_float_oracle` runs it in complex doubles.
+Two independent routes serve as oracles and nothing else:
+:func:`dedekind_sum_float_oracle` runs the root sum in complex doubles
+(``orbcalc dedekind --oracle``), and
+:func:`orbcalc.cyclotomic.dedekind_sum_cyclotomic` runs it exactly in
+Q(zeta_r) for the tests.  That module imports this one, never the other
+way, so production code does not load the field arithmetic.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import mul
-
-from .cyclotomic import CyclotomicElement, _field
 
 FLOAT_ORACLE_MAX_ORDER = 10**4
 
@@ -143,32 +144,6 @@ def _admissible_roots(inp: DedekindInput) -> list[int]:
         for j in range(inp.r)
         if all((j * b) % inp.r for b in inp.weights)
     ]
-
-
-def dedekind_sum_cyclotomic(inp: DedekindInput) -> Fraction:
-    """The root sum evaluated exactly in Q(zeta_r): a test oracle.
-
-    Each term is the power vector of zeta^(index*j) multiplied by the scaled
-    numerators r/(1 - zeta^(j*b_t)), so every factor carries denominator r
-    and the whole sum shares the denominator r^(len(weights) + 1), divided
-    out once at the end.  The field tables cost O(r^2 * phi(r)) in pure
-    Python, so keep r small.
-    """
-    r = inp.r
-    roots = _admissible_roots(inp)
-    if not roots:
-        return Fraction(0)
-    field = _field(r)
-    inverses = field.one_minus_root_inverses()
-    acc = [0] * field.phi
-    for j in roots:
-        vec = list(field.powers[(inp.index * j) % r])
-        for b in inp.weights:
-            vec = field.mul_ints(vec, list(inverses[(j * b) % r - 1]))
-        for t, c in enumerate(vec):
-            acc[t] += c
-    total = CyclotomicElement(r, tuple(Fraction(c) for c in acc))
-    return total.to_rational() / r ** (len(inp.weights) + 1)
 
 
 def dedekind_sum_float_oracle(inp: DedekindInput) -> float:

@@ -34,12 +34,14 @@ from typing import Callable, Iterable, Optional, Sequence
 from . import catalog, invariants
 from .catalog import ADE, CyclicQuotient, NotTabulatedError, SingularityType
 from .invariants import ConstraintReport, OrbifoldConfig
-from .rationals import format_rational, rational_to_json
+# rational_to_json is unused here but kept: perfbench/tracing.py wraps this attribute
+from .rationals import format_rational, rational_to_json  # noqa: F401
 
 INEQUALITY_ONLY = "inequality-only"
 WITH_EXCLUSIONS = "with-exclusions"
 MODES = (INEQUALITY_ONLY, WITH_EXCLUSIONS)
 
+# each tuple is written in catalog.sort_key order, the order the search uses
 _ALLOWED_TYPES: dict[int, tuple[SingularityType, ...]] = {
     4: (ADE("A", 1),),
     3: (ADE("A", 1), ADE("A", 2)),
@@ -156,8 +158,7 @@ def rules_for_degree(
         rules = tuple(r for r in EXCLUSION_RULES if r.degree == degree)
     else:
         rules = tuple(exclusion_rules)
-    allowed = tuple(sorted(_ALLOWED_TYPES[degree], key=catalog.sort_key))
-    return DegreeRules(degree, allowed, Fraction(12 - degree), rules)
+    return DegreeRules(degree, _ALLOWED_TYPES[degree], Fraction(12 - degree), rules)
 
 
 def check_pair_rule(degree: int, k: int, l: int) -> bool:
@@ -295,26 +296,7 @@ class EnumerationResult:
         return {
             "degree": self.degree,
             "mode": self.mode,
-            "configurations": [
-                {
-                    "singularities": [
-                        catalog.format_singularity(s)
-                        for s in r.config.singularities
-                    ],
-                    "twelve_sum_mu": rational_to_json(r.twelve_sum_mu),
-                    "chi_orb_if_chi_known": (
-                        rational_to_json(r.chi_orb) if r.chi_orb is not None else None
-                    ),
-                    "derived_picard_rank": rational_to_json(r.hrr.picard_rank),
-                    "bubble_bounds": {
-                        "min": r.bubbles.min_count,
-                        "max": r.bubbles.max_count,
-                        "exact_fit": r.bubbles.exact_fit,
-                    },
-                    "verdicts": r.verdicts(),
-                }
-                for r in self.reports
-            ],
+            "configurations": [r.summary_json() for r in self.reports],
             "max_multiplicity": self.max_multiplicity(),
         }
 

@@ -38,10 +38,6 @@ BUNDLES = (ANTICANONICAL, CANONICAL_SQUARE)
 #: minimum ALE bubble curvature energy, in units of 8*pi^2
 MIN_BUBBLE_ENERGY_UNITS = Fraction(3, 4)
 
-#: holomorphic Euler characteristic chi(O) of a limit Del Pezzo orbifold,
-#: a domain axiom here rather than a computed value
-CHI_STRUCTURE_SHEAF = 1
-
 
 @dataclass(frozen=True)
 class OrbifoldConfig:
@@ -174,6 +170,13 @@ class BubbleBounds:
             out["violation"] = self.violation
         return out
 
+    def window(self) -> str:
+        """The window as text: ``min=1 max=2 exact_fit=true``."""
+        return (
+            f"min={self.min_count} max={self.max_count} "
+            f"exact_fit={str(self.exact_fit).lower()}"
+        )
+
 
 def bubble_count_bounds(
     total_energy_units: Fraction,
@@ -303,8 +306,9 @@ class ConstraintReport:
         out["admissible"] = self.admissible
         return out
 
-    def to_json(self) -> dict:
-        out = {
+    def summary_json(self) -> dict:
+        """The keys one configuration carries in an enumeration's JSON."""
+        return {
             "singularities": [
                 catalog.format_singularity(s) for s in self.config.singularities
             ],
@@ -316,6 +320,9 @@ class ConstraintReport:
             "bubble_bounds": self.bubbles.to_json(),
             "verdicts": self.verdicts(),
         }
+
+    def to_json(self) -> dict:
+        out = self.summary_json()
         if self.budget is not None:
             out["budget"] = rational_to_json(self.budget)
         if self.config.degree is not None:
@@ -359,10 +366,9 @@ class ConstraintReport:
             lines.append(f"chi_orb = {format_rational(self.chi_orb)}")
         if self.chi_limit_value is not None:
             lines.append(f"chi_limit = {format_rational(self.chi_limit_value)}")
-        b = self.bubbles
-        bub = f"bubbles: min={b.min_count} max={b.max_count} exact_fit={str(b.exact_fit).lower()}"
-        if b.violation:
-            bub += f" violation={b.violation!r}"
+        bub = f"bubbles: {self.bubbles.window()}"
+        if self.bubbles.violation:
+            bub += f" violation={self.bubbles.violation!r}"
         lines.append(bub)
         if self.allowed_types_ok is not None:
             lines.append(

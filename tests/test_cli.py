@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -280,3 +283,16 @@ def test_verify_examples_json(capsys):
     assert blob["failed"] == 0
     assert blob["total"] >= 50
     assert all(check["ok"] for check in blob["checks"])
+
+
+def test_cli_import_leaves_out_the_cyclotomic_oracle():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import orbcalc.cli, sys; print('orbcalc.cyclotomic' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbcalc.cyclotomic import CyclotomicElement, root_of_unity
+from orbcalc.cyclotomic import CyclotomicElement, dedekind_sum_cyclotomic, root_of_unity
 from orbcalc.dedekind import (
     FLOAT_ORACLE_MAX_ORDER,
     MAX_WORK,
     DedekindInput,
     _weight_vector,
     dedekind_sum,
-    dedekind_sum_cyclotomic,
     dedekind_sum_float_oracle,
     sigma,
 )

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbcalc.catalog import ADE, CyclicQuotient, NotTabulatedError, mu_anticanonical
+from orbcalc.catalog import ADE, CyclicQuotient, NotTabulatedError, mu_anticanonical, sort_key
 from orbcalc.enumerator import (
     EXCLUSION_RULES,
     INEQUALITY_ONLY,
@@ -103,6 +103,8 @@ def test_degree_rules_shapes():
     ) + (D(4), Q(4, 1, 1), Q(8, 1, 3), Q(9, 1, 2))
     for degree in (1, 2, 3, 4):
         assert rules_for_degree(degree).budget == 12 - degree
+        allowed = rules_for_degree(degree).allowed_types
+        assert list(allowed) == sorted(allowed, key=sort_key)
     with pytest.raises(ValueError):
         rules_for_degree(5)
     with pytest.raises(ValueError):
