@@ -8,7 +8,7 @@ The package computes, in exact rational arithmetic throughout:
   Milnor numbers for the singularity types arising in non-collapsed
   limits of Kähler-Einstein Del Pezzo surfaces (:mod:`orbcalc.catalog`);
 - orbifold Euler numbers, limit Euler numbers, weighted-plane curve
-  genera, and bubble-energy ledgers (:mod:`orbcalc.invariants`);
+  genera, bubble energies and bubble-count windows (:mod:`orbcalc.invariants`);
 - the exhaustive list of singularity configurations allowed by the
   energy budget 0 < 12*sum(mu) < 12 - d (:mod:`orbcalc.enumerator`).
 
@@ -58,7 +58,6 @@ from .invariants import (
     MIN_BUBBLE_ENERGY_UNITS,
     BubbleBounds,
     ConstraintReport,
-    EnergyLedger,
     HrrMilnorReport,
     IdentityCheck,
     OrbifoldConfig,
@@ -66,7 +65,6 @@ from .invariants import (
     bubble_energy_from_mu,
     chi_limit,
     chi_orb_from_chi,
-    energy_ledger,
     euler_double_cover,
     genus_weighted_plane_curve,
     hrr_milnor_check,
@@ -92,7 +90,6 @@ __all__ = [
     "DedekindInput",
     "DegreeRules",
     "EXCLUSION_RULES",
-    "EnergyLedger",
     "EnumerationResult",
     "ExclusionRule",
     "HrrMilnorReport",
@@ -115,7 +112,6 @@ __all__ = [
     "chi_orb_from_chi",
     "dedekind_sum",
     "dedekind_sum_float_oracle",
-    "energy_ledger",
     "enumerate_configurations",
     "euler_double_cover",
     "format_rational",

@@ -29,7 +29,9 @@ tabulated in our sources; asking for them raises
 :class:`NotTabulatedError` rather than extrapolating.  The Milnor number
 of a quotient type is derived from the per-point ledger identity
 12*mu(K^-1) = (1 - 1/n) + nu, which reproduces the classical integers
-(A_k -> k, D_4 -> 4) on the canonical types.
+(A_k -> k, D_4 -> 4) on the canonical types.  :func:`ledger_terms`
+derives each type's row (1 - 1/n, nu, 12*mu(K^-1)) once and caches it;
+it is the only place nu is computed.
 """
 
 from __future__ import annotations
@@ -146,10 +148,22 @@ def mu_canonical_square(s: SingularityType) -> Fraction:
     return twelve / 12
 
 
+@functools.cache
+def ledger_terms(s: SingularityType) -> tuple[Fraction, Fraction, Fraction]:
+    """One type's row of the Milnor ledger: ``(1 - 1/n, nu, 12*mu(K^-1))``.
+
+    nu comes from the per-point identity nu = 12*mu(K^-1) - (1 - 1/n).
+    Types with no tabulated anticanonical correction raise
+    :class:`NotTabulatedError`.
+    """
+    twelve_mu = 12 * mu_anticanonical(s)
+    one_minus = 1 - Fraction(1, group_order(s))
+    return one_minus, twelve_mu - one_minus, twelve_mu
+
+
 def milnor_number(s: SingularityType) -> Fraction:
-    """Milnor number, from the per-point identity nu = 12*mu(K^-1) - (1 - 1/n)."""
-    n = group_order(s)
-    return 12 * mu_anticanonical(s) - (1 - Fraction(1, n))
+    """Milnor number nu, read from the type's :func:`ledger_terms` row."""
+    return ledger_terms(s)[1]
 
 
 def sort_key(s: SingularityType):

@@ -205,15 +205,11 @@ def check_config(
     else:
         bubbles = invariants.bubble_count_bounds(twelve_mu)
     chi_orb = None
-    chi_limit_value = None
     chi_limit_check = None
     if config.euler_topological is not None:
         chi_orb = config.euler_topological - hrr.sum_one_minus
-        chi_limit_value = chi_orb + twelve_mu
         chi_limit_check = invariants.IdentityCheck(
-            "chi_limit_equals_12_minus_d",
-            chi_limit_value,
-            Fraction(12 - config.degree),
+            "chi_limit_equals_12_minus_d", chi_orb + twelve_mu, rules.budget
         )
     exclusions = {}
     if mode == WITH_EXCLUSIONS:
@@ -226,7 +222,6 @@ def check_config(
         hrr=hrr,
         bubbles=bubbles,
         chi_orb=chi_orb,
-        chi_limit_value=chi_limit_value,
         chi_limit_check=chi_limit_check,
         exclusions=exclusions,
         allowed_types_ok=all(s in allowed for s in sings),

@@ -201,8 +201,8 @@ def bubble_count_bounds(
         return BubbleBounds(0, 0, True)
     if total < quantum:
         return BubbleBounds(0, 0, False, violation="energy below one quantum")
-    max_count = int(total / quantum)  # floor for positive rationals
-    return BubbleBounds(1, max_count, total == max_count * quantum)
+    max_count, rest = divmod(total, quantum)
+    return BubbleBounds(1, max_count, rest == 0)
 
 
 @dataclass(frozen=True)
@@ -234,15 +234,17 @@ def hrr_milnor_check(config: OrbifoldConfig) -> HrrMilnorReport:
     When the Picard rank is not supplied it is solved for from the second
     identity, and the report says whether the solution is a positive
     integer (a necessary condition for the configuration to be realized).
-    The three sums take one term per distinct type, times its count.
+    The three sums weight each distinct type's cached
+    :func:`catalog.ledger_terms` row by its count; no term is rederived.
     """
     if config.degree is None:
         raise ValueError("hrr_milnor_check needs the degeneration degree")
     sum_one_minus = sum_milnor = twelve_mu = Fraction(0)
     for s, count in Counter(config.singularities).items():
-        sum_one_minus += count * (1 - Fraction(1, catalog.group_order(s)))
-        sum_milnor += count * catalog.milnor_number(s)
-        twelve_mu += count * 12 * catalog.mu_anticanonical(s)
+        one_minus, nu, twelve = catalog.ledger_terms(s)
+        sum_one_minus += count * one_minus
+        sum_milnor += count * nu
+        twelve_mu += count * twelve
     first = IdentityCheck("milnor_ledger", sum_one_minus + sum_milnor, twelve_mu)
     target = Fraction(10 - config.degree)
     if config.picard_rank is not None:
@@ -261,19 +263,16 @@ class ConstraintReport:
 
     config: OrbifoldConfig
     twelve_sum_mu: Fraction
-    budget: Optional[Fraction]  # 12 - d, strict upper bound; None if degree unknown
+    budget: Fraction  # 12 - d, strict upper bound
     hrr: HrrMilnorReport
     bubbles: BubbleBounds
+    allowed_types_ok: bool
     chi_orb: Optional[Fraction] = None  # only when chi(M) was supplied
-    chi_limit_value: Optional[Fraction] = None
-    chi_limit_check: Optional[IdentityCheck] = None
+    chi_limit_check: Optional[IdentityCheck] = None  # lhs is chi_limit
     exclusions: dict = field(default_factory=dict)  # rule name -> passed
-    allowed_types_ok: Optional[bool] = None  # None when no degree rules applied
 
     @property
-    def budget_ok(self) -> Optional[bool]:
-        if self.budget is None:
-            return None
+    def budget_ok(self) -> bool:
         return Fraction(0) < self.twelve_sum_mu < self.budget
 
     @property
@@ -284,9 +283,9 @@ class ConstraintReport:
     def admissible(self) -> bool:
         """Budget satisfied, integral positive Picard rank, no exclusion hit."""
         return (
-            bool(self.budget_ok)
+            self.budget_ok
             and self.hrr.picard_ok
-            and self.allowed_types_ok is not False
+            and self.allowed_types_ok
             and all(self.exclusions.values())
             and (self.chi_limit_check is None or self.chi_limit_check.holds)
         )
@@ -296,9 +295,8 @@ class ConstraintReport:
             "budget_ok": self.budget_ok,
             "milnor_ledger_holds": self.hrr.milnor_ledger.holds,
             "picard_rank_is_positive_integer": self.hrr.picard_ok,
+            "types_allowed_for_degree": self.allowed_types_ok,
         }
-        if self.allowed_types_ok is not None:
-            out["types_allowed_for_degree"] = self.allowed_types_ok
         if self.chi_limit_check is not None:
             out["chi_limit_matches_degree"] = self.chi_limit_check.holds
         for name, passed in self.exclusions.items():
@@ -323,12 +321,10 @@ class ConstraintReport:
 
     def to_json(self) -> dict:
         out = self.summary_json()
-        if self.budget is not None:
-            out["budget"] = rational_to_json(self.budget)
-        if self.config.degree is not None:
-            out["degree"] = self.config.degree
-        if self.chi_limit_value is not None:
-            out["chi_limit"] = rational_to_json(self.chi_limit_value)
+        out["budget"] = rational_to_json(self.budget)
+        out["degree"] = self.config.degree
+        if self.chi_limit_check is not None:
+            out["chi_limit"] = rational_to_json(self.chi_limit_check.lhs)
         out["identities"] = [
             self.hrr.milnor_ledger.to_json(),
             self.hrr.picard_noether.to_json(),
@@ -341,15 +337,13 @@ class ConstraintReport:
         lines = []
         sings = self.config.notation() or "(none: smooth case)"
         lines.append(f"singularities: {sings}")
-        if self.config.degree is not None:
-            lines.append(f"degree: {self.config.degree}")
+        lines.append(f"degree: {self.config.degree}")
         lines.append(f"12*sum(mu) = {format_rational(self.twelve_sum_mu)}")
-        if self.budget is not None:
-            lines.append(
-                f"budget: need 0 < {format_rational(self.twelve_sum_mu)} "
-                f"< {format_rational(self.budget)} "
-                f"-> {'ok' if self.budget_ok else 'VIOLATED'}"
-            )
+        lines.append(
+            f"budget: need 0 < {format_rational(self.twelve_sum_mu)} "
+            f"< {format_rational(self.budget)} "
+            f"-> {'ok' if self.budget_ok else 'VIOLATED'}"
+        )
         for check in (self.hrr.milnor_ledger, self.hrr.picard_noether, self.chi_limit_check):
             if check is None:
                 continue
@@ -364,17 +358,15 @@ class ConstraintReport:
         )
         if self.chi_orb is not None:
             lines.append(f"chi_orb = {format_rational(self.chi_orb)}")
-        if self.chi_limit_value is not None:
-            lines.append(f"chi_limit = {format_rational(self.chi_limit_value)}")
+        if self.chi_limit_check is not None:
+            lines.append(f"chi_limit = {format_rational(self.chi_limit_check.lhs)}")
         bub = f"bubbles: {self.bubbles.window()}"
         if self.bubbles.violation:
             bub += f" violation={self.bubbles.violation!r}"
         lines.append(bub)
-        if self.allowed_types_ok is not None:
-            lines.append(
-                "types allowed for degree: "
-                f"{'yes' if self.allowed_types_ok else 'NO'}"
-            )
+        lines.append(
+            f"types allowed for degree: {'yes' if self.allowed_types_ok else 'NO'}"
+        )
         for name, passed in self.exclusions.items():
             lines.append(f"exclusion {name}: {'pass' if passed else 'EXCLUDED'}")
         if self.is_smooth:
@@ -382,25 +374,3 @@ class ConstraintReport:
         else:
             lines.append(f"verdict: {'admissible' if self.admissible else 'rejected'}")
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class EnergyLedger:
-    """Closed energy ledger: chi_limit = chi_orb + total bubble energy."""
-
-    total_bubble_energy_units: Fraction
-    chi_orb: Fraction
-    chi_limit: Fraction
-
-    def __post_init__(self):
-        if self.chi_limit != self.chi_orb + self.total_bubble_energy_units:
-            raise ValueError("energy ledger does not close")
-
-
-def energy_ledger(config: OrbifoldConfig, bundle: str = ANTICANONICAL) -> EnergyLedger:
-    """Assemble the closed ledger for a configuration with known chi(M)."""
-    if config.euler_topological is None:
-        raise ValueError("energy_ledger needs the topological Euler number chi(M)")
-    energy = bubble_energy_from_mu(config.singularities, bundle)
-    corb = chi_orb_from_chi(config.euler_topological, config.singularities)
-    return EnergyLedger(energy, corb, corb + energy)

@@ -45,6 +45,7 @@ def _clear_arithmetic_caches():
     cyclotomic.cyclotomic_polynomial.cache_clear()
     cyclotomic._field.cache_clear()
     catalog.mu_anticanonical.cache_clear()
+    catalog.ledger_terms.cache_clear()
 
 
 def _report(capsys, slot, name, detail):

@@ -105,6 +105,16 @@ def test_check_reports_rejection_with_exit_zero(capsys):
     assert code == 0
     assert "verdict: rejected" in out
     assert "budget: need 0 < 45/4 < 11 -> VIOLATED" in out
+    mismatch = ("check", "--degree", "1", "--sings", "A8, 2x 1/9(1,2)", "--chi", "4")
+    code, out, _ = run(capsys, *mismatch)
+    assert code == 0
+    assert "chi_limit_equals_12_minus_d: 12 != 11" in out
+    assert "chi_limit = 12" in out
+    assert "verdict: rejected" in out
+    code, blob, _ = run_json(capsys, *mismatch)
+    assert code == 0
+    assert blob["chi_limit"] == {"num": 12, "den": 1}
+    assert blob["verdicts"]["chi_limit_matches_degree"] is False
 
 
 def test_check_negative_energy_is_a_verdict(capsys):

@@ -13,7 +13,6 @@ from orbcalc.invariants import (
     bubble_energy_from_mu,
     chi_limit,
     chi_orb_from_chi,
-    energy_ledger,
     euler_double_cover,
     genus_weighted_plane_curve,
     hrr_milnor_check,
@@ -147,15 +146,6 @@ def test_hrr_milnor_ledger_holds_per_type():
 def test_hrr_milnor_needs_degree():
     with pytest.raises(ValueError):
         hrr_milnor_check(OrbifoldConfig(degree=None, singularities=(A(1),)))
-
-
-def test_energy_ledger_closes():
-    ledger = energy_ledger(DEGREE2_EXAMPLE)
-    assert ledger.total_bubble_energy_units == Fraction(3, 2)
-    assert ledger.chi_orb == Fraction(17, 2)
-    assert ledger.chi_limit == 10
-    with pytest.raises(ValueError):
-        energy_ledger(OrbifoldConfig(degree=2, singularities=TWO_QUARTER_POINTS))
 
 
 def test_identity_check_shape():
