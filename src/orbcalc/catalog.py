@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -260,14 +261,8 @@ def parse_singularity_list(text: str) -> tuple[SingularityType, ...]:
 
 def format_singularity_list(sings) -> str:
     """Inverse of :func:`parse_singularity_list`, grouping repeats as ``"Nx TYPE"``."""
-    ordered = sorted(sings, key=sort_key)
-    groups: list[tuple[SingularityType, int]] = []
-    for s in ordered:
-        if groups and groups[-1][0] == s:
-            groups[-1] = (s, groups[-1][1] + 1)
-        else:
-            groups.append((s, 1))
+    counts = Counter(sings)
     return ", ".join(
-        format_singularity(s) if n == 1 else f"{n}x {format_singularity(s)}"
-        for s, n in groups
+        format_singularity(s) if counts[s] == 1 else f"{counts[s]}x {format_singularity(s)}"
+        for s in sorted(counts, key=sort_key)
     )

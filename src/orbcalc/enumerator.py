@@ -20,7 +20,7 @@ the sharper published multiplicity bounds (for instance, at most one
 A4 point in degree 2) need those classifications, not just the budget.
 Rules are data, not control flow: each has a name, a docstring, and can
 be dropped or added by passing a custom rule list.  A rule's predicate
-receives the configuration as a ``Counter`` multiset (type -> count).
+receives the configuration's ``config.counts`` (type -> count).
 """
 
 from __future__ import annotations
@@ -207,14 +207,13 @@ def check_config(
     chi_orb = None
     chi_limit_check = None
     if config.euler_topological is not None:
-        chi_orb = config.euler_topological - hrr.sum_one_minus
+        chi_orb = invariants.chi_orb_from_chi(config.euler_topological, sings)
         chi_limit_check = invariants.IdentityCheck(
             "chi_limit_equals_12_minus_d", chi_orb + twelve_mu, rules.budget
         )
     exclusions = {}
     if mode == WITH_EXCLUSIONS:
-        exclusions = {r.name: r.passes(sings) for r in rules.exclusion_rules}
-    allowed = set(rules.allowed_types)
+        exclusions = {r.name: r.predicate(config.counts) for r in rules.exclusion_rules}
     return ConstraintReport(
         config=config,
         twelve_sum_mu=twelve_mu,
@@ -224,7 +223,7 @@ def check_config(
         chi_orb=chi_orb,
         chi_limit_check=chi_limit_check,
         exclusions=exclusions,
-        allowed_types_ok=all(s in allowed for s in sings),
+        allowed_types_ok=all(s in rules.allowed_types for s in config.counts),
     )
 
 
@@ -273,16 +272,13 @@ class EnumerationResult:
     mode: str
     reports: list[ConstraintReport]
     smooth: ConstraintReport
-
-    @property
-    def rules(self) -> DegreeRules:
-        return rules_for_degree(self.degree)
+    rules: DegreeRules  # as resolved by the search, custom rule lists included
 
     def max_multiplicity(self) -> dict[str, int]:
         """Per-type maximum multiplicity over the surviving configurations."""
         best = {t: 0 for t in self.rules.allowed_types}
         for report in self.reports:
-            for t, c in Counter(report.config.singularities).items():
+            for t, c in report.config.counts.items():
                 if c > best.get(t, 0):
                     best[t] = c
         return {catalog.format_singularity(t): c for t, c in best.items()}
@@ -347,4 +343,4 @@ def enumerate_configurations(
     smooth = check_config(
         OrbifoldConfig(degree=degree, singularities=()), mode, rules.exclusion_rules
     )
-    return EnumerationResult(degree, mode, reports, smooth)
+    return EnumerationResult(degree, mode, reports, smooth, rules)

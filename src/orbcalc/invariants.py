@@ -47,13 +47,13 @@ class OrbifoldConfig:
     singularities: tuple[SingularityType, ...]
     euler_topological: Optional[int] = None
     picard_rank: Optional[int] = None
+    # the same multiset as type -> count, keys in catalog.sort_key order
+    counts: Counter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "singularities",
-            tuple(sorted(self.singularities, key=catalog.sort_key)),
-        )
+        ordered = tuple(sorted(self.singularities, key=catalog.sort_key))
+        object.__setattr__(self, "singularities", ordered)
+        object.__setattr__(self, "counts", Counter(ordered))
         if self.degree is not None and not 1 <= self.degree <= 4:
             raise ValueError("Del Pezzo degeneration degree must be in 1..4")
         if self.picard_rank is not None and self.picard_rank < 1:
@@ -214,7 +214,6 @@ class HrrMilnorReport:
     picard_rank: Fraction
     picard_provided: bool
     twelve_sum_mu: Fraction  # 12 * sum_p mu_p(K^-1)
-    sum_one_minus: Fraction  # sum_p (1 - 1/n_p)
 
     @property
     def picard_ok(self) -> bool:
@@ -240,7 +239,7 @@ def hrr_milnor_check(config: OrbifoldConfig) -> HrrMilnorReport:
     if config.degree is None:
         raise ValueError("hrr_milnor_check needs the degeneration degree")
     sum_one_minus = sum_milnor = twelve_mu = Fraction(0)
-    for s, count in Counter(config.singularities).items():
+    for s, count in config.counts.items():
         one_minus, nu, twelve = catalog.ledger_terms(s)
         sum_one_minus += count * one_minus
         sum_milnor += count * nu
@@ -254,7 +253,7 @@ def hrr_milnor_check(config: OrbifoldConfig) -> HrrMilnorReport:
         rho = target - twelve_mu + sum_one_minus
         provided = False
     second = IdentityCheck("picard_noether", rho + twelve_mu - sum_one_minus, target)
-    return HrrMilnorReport(first, second, rho, provided, twelve_mu, sum_one_minus)
+    return HrrMilnorReport(first, second, rho, provided, twelve_mu)
 
 
 @dataclass

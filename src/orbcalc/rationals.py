@@ -26,8 +26,13 @@ def as_rational(value: int | str | Fraction) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"n"`` (optionally signed) into a Fraction."""
+    """Parse ``"p/q"``, ``"n"`` or a decimal like ``"3.5"``, optionally signed.
+
+    Exponents (``"1e5"``) are refused: ``Fraction`` would expand them in full.
+    """
     try:
+        if "e" in text.lower():
+            raise ValueError("exponent literals are not accepted")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational literal: {text!r}") from exc

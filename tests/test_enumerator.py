@@ -206,6 +206,7 @@ def test_exclusion_rules_are_data():
         r.config.singularities for r in loose.reports
     ]
     assert bare.max_multiplicity()["A4"] == 2
+    assert bare.rules.exclusion_rules == ()
 
 
 def test_custom_exclusion_rule_injection():
@@ -213,6 +214,7 @@ def test_custom_exclusion_rule_injection():
         "ban-A1", 2, "demo rule: no A1 at all", lambda sings: A(1) not in sings
     )
     result = enumerate_configurations(2, WITH_EXCLUSIONS, exclusion_rules=(no_a1,))
+    assert result.rules.exclusion_rules == (no_a1,)
     assert result.max_multiplicity()["A1"] == 0
     for report in result.reports:
         assert A(1) not in report.config.singularities

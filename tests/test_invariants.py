@@ -1,8 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from orbcalc.catalog import ADE, CyclicQuotient
+from orbcalc.catalog import ADE, CyclicQuotient, sort_key
 from orbcalc.invariants import (
     ANTICANONICAL,
     CANONICAL_SQUARE,
@@ -160,6 +161,8 @@ def test_orbifold_config_normalizes_and_validates():
     config = OrbifoldConfig(degree=1, singularities=(Q(9, 1, 2), A(8), Q(9, 1, 2)))
     assert config.singularities == DEGREE1_SINGS
     assert config.notation() == "A8, 2x 1/9(1,2)"
+    assert config.counts == Counter(config.singularities)
+    assert list(config.counts) == sorted(config.counts, key=sort_key)
     with pytest.raises(ValueError):
         OrbifoldConfig(degree=5, singularities=())
     with pytest.raises(ValueError):

@@ -31,7 +31,7 @@ def test_parse_rational(text, expected):
     assert parse_rational(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "x", "1/0", "1/2/3"])
+@pytest.mark.parametrize("text", ["", "x", "1/0", "1/2/3", "1e5"])
 def test_parse_rational_rejects(text):
     with pytest.raises(ValueError):
         parse_rational(text)
