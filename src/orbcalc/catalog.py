@@ -29,9 +29,13 @@ tabulated in our sources; asking for them raises
 :class:`NotTabulatedError` rather than extrapolating.  The Milnor number
 of a quotient type is derived from the per-point ledger identity
 12*mu(K^-1) = (1 - 1/n) + nu, which reproduces the classical integers
-(A_k -> k, D_4 -> 4) on the canonical types.  :func:`ledger_terms`
-derives each type's row (1 - 1/n, nu, 12*mu(K^-1)) once and caches it;
-it is the only place nu is computed.
+(A_k -> k, D_4 -> 4) on the canonical types.  :func:`ledger_row` derives
+each type's row (1 - 1/n, nu, 12*mu(K^-1)) once, as integer numerators
+over the row's least common denominator, and caches it; it is the only
+place nu is computed.  :func:`scaled_ledger_rows` puts several types'
+rows over one common denominator, so that ledger sums and energy budgets
+become integer dot products; :func:`ledger_terms` gives one row as
+Fractions.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Mapping, Union
 
 from .dedekind import sigma
 
@@ -150,16 +154,43 @@ def mu_canonical_square(s: SingularityType) -> Fraction:
 
 
 @functools.cache
-def ledger_terms(s: SingularityType) -> tuple[Fraction, Fraction, Fraction]:
-    """One type's row of the Milnor ledger: ``(1 - 1/n, nu, 12*mu(K^-1))``.
+def ledger_row(s: SingularityType) -> tuple[int, int, int, int]:
+    """One type's row of the Milnor ledger in integers: ``(D, o, nu, t)``.
 
-    nu comes from the per-point identity nu = 12*mu(K^-1) - (1 - 1/n).
-    Types with no tabulated anticanonical correction raise
-    :class:`NotTabulatedError`.
+    ``o/D = 1 - 1/n``, ``nu/D`` is the Milnor number and ``t/D = 12*mu(K^-1)``,
+    with ``D`` the least common denominator of the three.  nu comes from the
+    per-point identity nu = 12*mu(K^-1) - (1 - 1/n).  Types with no
+    tabulated anticanonical correction raise :class:`NotTabulatedError`.
     """
     twelve_mu = 12 * mu_anticanonical(s)
-    one_minus = 1 - Fraction(1, group_order(s))
-    return one_minus, twelve_mu - one_minus, twelve_mu
+    n = group_order(s)
+    den = math.lcm(n, twelve_mu.denominator)
+    one_minus = (n - 1) * (den // n)
+    twelve = twelve_mu.numerator * (den // twelve_mu.denominator)
+    return den, one_minus, twelve - one_minus, twelve
+
+
+def scaled_ledger_rows(
+    types: Iterable[SingularityType],
+) -> tuple[int, list[tuple[int, int, int]]]:
+    """The types' :func:`ledger_row` rows over one denominator: ``(L, [(o, nu, t), ...])``.
+
+    ``L`` is the least common multiple of the rows' denominators (1 for no
+    types); each row's numerators are rescaled to it, in input order.
+    """
+    rows = [ledger_row(s) for s in types]
+    scale = math.lcm(*(row[0] for row in rows))
+    scaled = []
+    for den, one_minus, nu, twelve in rows:
+        factor = scale // den
+        scaled.append((one_minus * factor, nu * factor, twelve * factor))
+    return scale, scaled
+
+
+def ledger_terms(s: SingularityType) -> tuple[Fraction, Fraction, Fraction]:
+    """One type's :func:`ledger_row` as Fractions: ``(1 - 1/n, nu, 12*mu(K^-1))``."""
+    den, one_minus, nu, twelve = ledger_row(s)
+    return Fraction(one_minus, den), Fraction(nu, den), Fraction(twelve, den)
 
 
 def milnor_number(s: SingularityType) -> Fraction:
@@ -259,10 +290,15 @@ def parse_singularity_list(text: str) -> tuple[SingularityType, ...]:
     return tuple(sorted(out, key=sort_key))
 
 
+def format_counts(counts: Mapping[SingularityType, int]) -> str:
+    """``"Nx TYPE"`` notation for a type -> count map with keys in :func:`sort_key` order."""
+    return ", ".join(
+        format_singularity(s) if c == 1 else f"{c}x {format_singularity(s)}"
+        for s, c in counts.items()
+    )
+
+
 def format_singularity_list(sings) -> str:
     """Inverse of :func:`parse_singularity_list`, grouping repeats as ``"Nx TYPE"``."""
     counts = Counter(sings)
-    return ", ".join(
-        format_singularity(s) if counts[s] == 1 else f"{counts[s]}x {format_singularity(s)}"
-        for s in sorted(counts, key=sort_key)
-    )
+    return format_counts({s: counts[s] for s in sorted(counts, key=sort_key)})

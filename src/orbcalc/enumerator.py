@@ -9,9 +9,14 @@ its total bubble energy is pinned between 0 and 12 - d:
 Since every type's energy is positive, the multisets satisfying the
 inequality form a finite set which depth-first search enumerates exactly:
 types in catalog order, multiplicity descending, pruning a branch the
-moment its partial energy reaches the budget.  Every configuration found
-gets one full identity report (Milnor ledger, derived Picard rank,
-bubble-count window, exclusion verdicts), built in a single pass.
+moment its partial energy reaches the budget.  The search runs on
+integers: each allowed type's energy 12*mu is scaled by L, the least
+common multiple of the denominators of the degree's ledger rows (2520,
+60, 6 and 2 for degrees 1-4), and so is the budget.  Every count vector
+found becomes an ``OrbifoldConfig`` directly, with no re-sort, and gets
+one full identity report (Milnor ledger, derived Picard rank,
+bubble-count window, exclusion verdicts), built in a single pass; only
+the values a report stores are Fractions.
 
 Two modes.  ``inequality-only`` is precisely the energy inequality.
 ``with-exclusions`` additionally applies named exclusion rules that
@@ -25,9 +30,10 @@ receives the configuration's ``config.counts`` (type -> count).
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -149,16 +155,38 @@ class DegreeRules:
     exclusion_rules: tuple[ExclusionRule, ...]
 
 
+_DEFAULT_RULES = {
+    degree: DegreeRules(
+        degree,
+        types,
+        Fraction(12 - degree),
+        tuple(r for r in EXCLUSION_RULES if r.degree == degree),
+    )
+    for degree, types in _ALLOWED_TYPES.items()
+}
+_ALLOWED_SETS = {degree: frozenset(types) for degree, types in _ALLOWED_TYPES.items()}
+
+
 def rules_for_degree(
     degree: int, exclusion_rules: Optional[Sequence[ExclusionRule]] = None
 ) -> DegreeRules:
-    if degree not in _ALLOWED_TYPES:
+    if degree not in _DEFAULT_RULES:
         raise ValueError("Del Pezzo degeneration degree must be in 1..4")
+    rules = _DEFAULT_RULES[degree]
     if exclusion_rules is None:
-        rules = tuple(r for r in EXCLUSION_RULES if r.degree == degree)
-    else:
-        rules = tuple(exclusion_rules)
-    return DegreeRules(degree, _ALLOWED_TYPES[degree], Fraction(12 - degree), rules)
+        return rules
+    return replace(rules, exclusion_rules=tuple(exclusion_rules))
+
+
+@functools.cache
+def _energy_table(degree: int) -> tuple[tuple[int, ...], int]:
+    """The degree's type energies 12*mu and budget 12 - d, all scaled by L.
+
+    L is the lcm of the denominators of the allowed types' ledger rows, so
+    every entry is an integer.
+    """
+    scale, rows = catalog.scaled_ledger_rows(_ALLOWED_TYPES[degree])
+    return tuple(twelve for _, _, twelve in rows), (12 - degree) * scale
 
 
 def check_pair_rule(degree: int, k: int, l: int) -> bool:
@@ -190,8 +218,9 @@ def check_config(
     _validated_mode(mode)
     if config.degree is None:
         raise ValueError("check_config needs the degeneration degree")
-    rules = rules_for_degree(config.degree, exclusion_rules)
-    sings = config.singularities
+    rules = _DEFAULT_RULES[config.degree]
+    if exclusion_rules is None:
+        exclusion_rules = rules.exclusion_rules
     try:
         hrr = invariants.hrr_milnor_check(config)
     except NotTabulatedError as exc:
@@ -207,13 +236,13 @@ def check_config(
     chi_orb = None
     chi_limit_check = None
     if config.euler_topological is not None:
-        chi_orb = invariants.chi_orb_from_chi(config.euler_topological, sings)
+        chi_orb = invariants.chi_orb_from_chi(config.euler_topological, config.singularities)
         chi_limit_check = invariants.IdentityCheck(
             "chi_limit_equals_12_minus_d", chi_orb + twelve_mu, rules.budget
         )
     exclusions = {}
     if mode == WITH_EXCLUSIONS:
-        exclusions = {r.name: r.predicate(config.counts) for r in rules.exclusion_rules}
+        exclusions = {r.name: r.predicate(config.counts) for r in exclusion_rules}
     return ConstraintReport(
         config=config,
         twelve_sum_mu=twelve_mu,
@@ -223,45 +252,33 @@ def check_config(
         chi_orb=chi_orb,
         chi_limit_check=chi_limit_check,
         exclusions=exclusions,
-        allowed_types_ok=all(s in rules.allowed_types for s in config.counts),
+        allowed_types_ok=config.counts.keys() <= _ALLOWED_SETS[config.degree],
     )
 
 
-def _descending_counts(
-    energies: Sequence[Fraction], budget: Fraction
-) -> list[tuple[int, ...]]:
-    """All count vectors with 0 < sum(c*e) < budget, in descending lex order."""
+def _descending_counts(energies: Sequence[int], budget: int) -> list[tuple[int, ...]]:
+    """All count vectors with 0 < sum(c*e) < budget, in descending lex order.
+
+    Energies and budget are integers, every energy positive.
+    """
     n = len(energies)
     counts = [0] * n
     out: list[tuple[int, ...]] = []
 
-    def max_count(i: int, remaining: Fraction) -> int:
-        # largest c with c * energies[i] strictly below remaining
-        q = remaining / energies[i]
-        c = int(q)
-        return c - 1 if c == q else c
-
-    def rec(i: int, total: Fraction) -> None:
+    def rec(i: int, total: int) -> None:
         if i == n:
             if total > 0:
                 out.append(tuple(counts))
             return
-        for c in range(max_count(i, budget - total), -1, -1):
+        energy = energies[i]
+        # the largest c with total + c * energy strictly below the budget
+        for c in range((budget - total - 1) // energy, -1, -1):
             counts[i] = c
-            rec(i + 1, total + c * energies[i])
+            rec(i + 1, total + c * energy)
         counts[i] = 0
 
-    rec(0, Fraction(0))
+    rec(0, 0)
     return out
-
-
-def _counts_to_sings(
-    counts: Sequence[int], types: Sequence[SingularityType]
-) -> tuple[SingularityType, ...]:
-    out: list[SingularityType] = []
-    for c, t in zip(counts, types):
-        out.extend([t] * c)
-    return tuple(out)
 
 
 @dataclass
@@ -308,12 +325,13 @@ class EnumerationResult:
         lines.append("smooth case: 12*sum(mu) = 0, non-degenerating, "
                       f"picard rank {format_rational(self.smooth.hrr.picard_rank)}")
         lines.append("")
-        width = max((len(r.config.notation()) for r in self.reports), default=0)
-        for r in self.reports:
+        names = [r.config.notation() for r in self.reports]
+        width = max(map(len, names), default=0)
+        for name, r in zip(names, self.reports):
             rho = format_rational(r.hrr.picard_rank)
             flag = "" if r.hrr.picard_ok else "  [picard rank not positive integral]"
             lines.append(
-                f"  {r.config.notation():<{width}}  12*sum(mu) = "
+                f"  {name:<{width}}  12*sum(mu) = "
                 f"{format_rational(r.twelve_sum_mu):>6}  rho = {rho}{flag}"
             )
         return "\n".join(lines)
@@ -332,11 +350,10 @@ def enumerate_configurations(
     """
     _validated_mode(mode)
     rules = rules_for_degree(degree, exclusion_rules)
-    types = rules.allowed_types
-    energies = [12 * catalog.mu_anticanonical(t) for t in types]
+    energies, budget = _energy_table(degree)
     reports = []
-    for vec in _descending_counts(energies, rules.budget):
-        config = OrbifoldConfig(degree=degree, singularities=_counts_to_sings(vec, types))
+    for vec in _descending_counts(energies, budget):
+        config = OrbifoldConfig.from_counts(degree, rules.allowed_types, vec)
         report = check_config(config, mode, rules.exclusion_rules)
         if all(report.exclusions.values()):
             reports.append(report)

@@ -25,7 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from . import catalog
 from .catalog import SingularityType
@@ -54,13 +54,43 @@ class OrbifoldConfig:
         ordered = tuple(sorted(self.singularities, key=catalog.sort_key))
         object.__setattr__(self, "singularities", ordered)
         object.__setattr__(self, "counts", Counter(ordered))
+        self._validate()
+
+    def _validate(self) -> None:
         if self.degree is not None and not 1 <= self.degree <= 4:
             raise ValueError("Del Pezzo degeneration degree must be in 1..4")
         if self.picard_rank is not None and self.picard_rank < 1:
             raise ValueError("Picard rank must be positive")
 
+    @classmethod
+    def from_counts(
+        cls,
+        degree: Optional[int],
+        types: Sequence[SingularityType],
+        vector: Sequence[int],
+    ) -> "OrbifoldConfig":
+        """The configuration with ``vector[i]`` points of type ``types[i]``.
+
+        ``types`` must be distinct and in :func:`catalog.sort_key` order, as
+        each degree's type table is; the multiset is then already sorted, so
+        it is expanded and counted once, with no sort.  The result equals
+        ``OrbifoldConfig(degree, singularities=...)`` of the same multiset.
+        """
+        counts = Counter({t: c for t, c in zip(types, vector) if c})
+        self = cls.__new__(cls)
+        for name, value in (
+            ("degree", degree),
+            ("singularities", tuple(counts.elements())),
+            ("euler_topological", None),
+            ("picard_rank", None),
+            ("counts", counts),
+        ):
+            object.__setattr__(self, name, value)
+        self._validate()
+        return self
+
     def notation(self) -> str:
-        return catalog.format_singularity_list(self.singularities)
+        return catalog.format_counts(self.counts)
 
 
 def _mu(s: SingularityType, bundle: str) -> Fraction:
@@ -193,15 +223,17 @@ def bubble_count_bounds(
     """
     total = Fraction(total_energy_units)
     quantum = Fraction(min_quantum_units)
-    if quantum <= 0:
+    if quantum.numerator <= 0:
         raise ValueError("bubble energy quantum must be positive")
-    if total < 0:
+    if total.numerator < 0:
         raise ValueError("total bubble energy cannot be negative")
-    if total == 0:
+    if total.numerator == 0:
         return BubbleBounds(0, 0, True)
-    if total < quantum:
+    max_count, rest = divmod(
+        total.numerator * quantum.denominator, quantum.numerator * total.denominator
+    )
+    if max_count == 0:
         return BubbleBounds(0, 0, False, violation="energy below one quantum")
-    max_count, rest = divmod(total, quantum)
     return BubbleBounds(1, max_count, rest == 0)
 
 
@@ -233,27 +265,36 @@ def hrr_milnor_check(config: OrbifoldConfig) -> HrrMilnorReport:
     When the Picard rank is not supplied it is solved for from the second
     identity, and the report says whether the solution is a positive
     integer (a necessary condition for the configuration to be realized).
-    The three sums weight each distinct type's cached
-    :func:`catalog.ledger_terms` row by its count; no term is rederived.
+    The three sums are integer dot products: each distinct type's cached
+    row, put over the configuration's common denominator L by
+    :func:`catalog.scaled_ledger_rows`, weighted by its count.  Fractions
+    are built only for the values the report stores.
     """
     if config.degree is None:
         raise ValueError("hrr_milnor_check needs the degeneration degree")
-    sum_one_minus = sum_milnor = twelve_mu = Fraction(0)
-    for s, count in config.counts.items():
-        one_minus, nu, twelve = catalog.ledger_terms(s)
+    scale, rows = catalog.scaled_ledger_rows(config.counts)
+    sum_one_minus = sum_milnor = twelve_mu = 0
+    for count, (one_minus, nu, twelve) in zip(config.counts.values(), rows):
         sum_one_minus += count * one_minus
         sum_milnor += count * nu
         twelve_mu += count * twelve
-    first = IdentityCheck("milnor_ledger", sum_one_minus + sum_milnor, twelve_mu)
-    target = Fraction(10 - config.degree)
-    if config.picard_rank is not None:
-        rho = Fraction(config.picard_rank)
-        provided = True
+    first = IdentityCheck(
+        "milnor_ledger",
+        Fraction(sum_one_minus + sum_milnor, scale),
+        Fraction(twelve_mu, scale),
+    )
+    target = 10 - config.degree
+    provided = config.picard_rank is not None
+    if provided:
+        rho = config.picard_rank * scale
     else:
-        rho = target - twelve_mu + sum_one_minus
-        provided = False
-    second = IdentityCheck("picard_noether", rho + twelve_mu - sum_one_minus, target)
-    return HrrMilnorReport(first, second, rho, provided, twelve_mu)
+        rho = target * scale - twelve_mu + sum_one_minus
+    second = IdentityCheck(
+        "picard_noether",
+        Fraction(rho + twelve_mu - sum_one_minus, scale),
+        Fraction(target),
+    )
+    return HrrMilnorReport(first, second, Fraction(rho, scale), provided, first.rhs)
 
 
 @dataclass

@@ -12,7 +12,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from orbcalc import catalog, cyclotomic
+from orbcalc import catalog, cyclotomic, enumerator
 from orbcalc.catalog import ADE, CyclicQuotient, mu_anticanonical
 from orbcalc.cyclotomic import CyclotomicElement, root_of_unity
 from orbcalc.dedekind import DedekindInput, dedekind_sum, dedekind_sum_float_oracle, sigma
@@ -45,7 +45,8 @@ def _clear_arithmetic_caches():
     cyclotomic.cyclotomic_polynomial.cache_clear()
     cyclotomic._field.cache_clear()
     catalog.mu_anticanonical.cache_clear()
-    catalog.ledger_terms.cache_clear()
+    catalog.ledger_row.cache_clear()
+    enumerator._energy_table.cache_clear()
 
 
 def _report(capsys, slot, name, detail):

@@ -1,11 +1,20 @@
 import itertools
+import random
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from orbcalc.catalog import ADE, CyclicQuotient, NotTabulatedError, mu_anticanonical, sort_key
+from orbcalc import enumerator
+from orbcalc.catalog import (
+    ADE,
+    CyclicQuotient,
+    NotTabulatedError,
+    format_singularity_list,
+    mu_anticanonical,
+    sort_key,
+)
 from orbcalc.enumerator import (
     EXCLUSION_RULES,
     INEQUALITY_ONLY,
@@ -92,6 +101,36 @@ def test_reports_come_in_descending_count_vector_order():
         for r in result.reports
     ]
     assert vectors == sorted(vectors, reverse=True)
+
+
+def test_energy_table_is_exact_integer_scaling():
+    # L, the lcm of the degree's ledger-row denominators
+    for degree, scale in ((1, 2520), (2, 60), (3, 6), (4, 2)):
+        energies, budget = enumerator._energy_table(degree)
+        assert budget == (12 - degree) * scale
+        types = rules_for_degree(degree).allowed_types
+        assert [Fraction(e, scale) for e in energies] == [
+            12 * mu_anticanonical(t) for t in types
+        ]
+        assert all(type(e) is int and e > 0 for e in energies)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_from_counts_equals_public_constructor(degree):
+    types = rules_for_degree(degree).allowed_types
+    vectors = enumerator._descending_counts(*enumerator._energy_table(degree))
+    rng = random.Random(degree)
+    for vec in vectors:
+        multiset = [t for t, c in zip(types, vec) for _ in range(c)]
+        rng.shuffle(multiset)
+        expected = OrbifoldConfig(degree=degree, singularities=tuple(multiset))
+        config = OrbifoldConfig.from_counts(degree, types, vec)
+        assert config == expected
+        assert hash(config) == hash(expected)
+        assert config.singularities == expected.singularities
+        assert list(config.counts.items()) == list(expected.counts.items())
+        assert type(config.counts) is Counter
+        assert config.notation() == format_singularity_list(multiset)
 
 
 def test_degree_rules_shapes():

@@ -2,12 +2,23 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbcalc.catalog import ADE, CyclicQuotient, sort_key
+from orbcalc.catalog import (
+    ADE,
+    CyclicQuotient,
+    group_order,
+    ledger_terms,
+    mu_anticanonical,
+    sort_key,
+)
 from orbcalc.invariants import (
     ANTICANONICAL,
     CANONICAL_SQUARE,
     MIN_BUBBLE_ENERGY_UNITS,
+    BubbleBounds,
+    HrrMilnorReport,
     IdentityCheck,
     OrbifoldConfig,
     bubble_count_bounds,
@@ -100,6 +111,42 @@ def test_bubble_count_bounds_windows():
     assert (custom.min_count, custom.max_count, custom.exact_fit) == (1, 6, True)
 
 
+def _reference_bubble_bounds(total, quantum):
+    if total == 0:
+        return BubbleBounds(0, 0, True)
+    if total < quantum:
+        return BubbleBounds(0, 0, False, violation="energy below one quantum")
+    max_count, rest = divmod(total, quantum)
+    return BubbleBounds(1, max_count, rest == 0)
+
+
+@st.composite
+def _bubble_inputs(draw):
+    quantum = draw(st.fractions(min_value=Fraction(1, 1000), max_value=100, max_denominator=1000))
+    kind = draw(st.sampled_from(("zero", "below", "multiple", "any")))
+    if kind == "zero":
+        total = Fraction(0)
+    elif kind == "below":
+        share = draw(st.fractions(min_value=0, max_value=1, max_denominator=1000))
+        total = quantum * share if 0 < share < 1 else quantum / 2
+    elif kind == "multiple":
+        total = quantum * draw(st.integers(min_value=1, max_value=200))
+    else:
+        total = draw(st.fractions(min_value=0, max_value=1000, max_denominator=10**6))
+    return total, quantum
+
+
+@given(_bubble_inputs())
+@settings(max_examples=300, deadline=None)
+def test_bubble_count_bounds_matches_fraction_divmod(case):
+    total, quantum = case
+    bounds = bubble_count_bounds(total, quantum)
+    assert bounds == _reference_bubble_bounds(total, quantum)
+    assert type(bounds.max_count) is int
+    default = bubble_count_bounds(total)
+    assert default == _reference_bubble_bounds(total, MIN_BUBBLE_ENERGY_UNITS)
+
+
 def test_bubble_count_bounds_rejects_bad_inputs():
     with pytest.raises(ValueError):
         bubble_count_bounds(Fraction(-1))
@@ -142,6 +189,56 @@ def test_hrr_milnor_ledger_holds_per_type():
     for t in types:
         report = hrr_milnor_check(OrbifoldConfig(degree=1, singularities=(t, t)))
         assert report.milnor_ledger.holds
+
+
+# the degree-1 table, two cyclic types with negative mu, and A_k up to k = 20,
+# whose rows have denominators the degree tables never combine
+_LEDGER_TYPES = (
+    [A(k) for k in range(1, 21)]
+    + [D(4), Q(4, 1, 1), Q(8, 1, 3), Q(9, 1, 2), Q(5, 1, 2), Q(7, 1, 3)]
+)
+
+
+@pytest.mark.parametrize("with_rank", [False, True])
+@given(
+    st.lists(st.sampled_from(_LEDGER_TYPES), max_size=14),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=12),
+)
+@settings(max_examples=150, deadline=None)
+def test_hrr_milnor_check_equals_fraction_ledger_sum(with_rank, sings, degree, rank):
+    picard = rank if with_rank else None
+    sum_one_minus = sum_milnor = twelve_mu = Fraction(0)
+    for s in sings:
+        one_minus, nu, twelve = ledger_terms(s)
+        assert one_minus == 1 - Fraction(1, group_order(s))
+        assert twelve == 12 * mu_anticanonical(s)
+        sum_one_minus += one_minus
+        sum_milnor += nu
+        twelve_mu += twelve
+    target = Fraction(10 - degree)
+    rho = Fraction(picard) if with_rank else target - twelve_mu + sum_one_minus
+    expected = HrrMilnorReport(
+        IdentityCheck("milnor_ledger", sum_one_minus + sum_milnor, twelve_mu),
+        IdentityCheck("picard_noether", rho + twelve_mu - sum_one_minus, target),
+        rho,
+        with_rank,
+        twelve_mu,
+    )
+    report = hrr_milnor_check(
+        OrbifoldConfig(degree=degree, singularities=tuple(sings), picard_rank=picard)
+    )
+    assert report == expected
+    assert report.picard_ok == expected.picard_ok
+    for value in (
+        report.picard_rank,
+        report.twelve_sum_mu,
+        report.milnor_ledger.lhs,
+        report.milnor_ledger.rhs,
+        report.picard_noether.lhs,
+        report.picard_noether.rhs,
+    ):
+        assert type(value) is Fraction
 
 
 def test_hrr_milnor_needs_degree():
