@@ -2,10 +2,10 @@
 
 Exit status is 0 on success, 1 on a domain error (an input the library
 refuses, like a weight sharing a factor with r or a Dedekind sum over its
-work limit) or an ``--out`` path that cannot be written, 2 on a usage error
-(unparseable flags or singularity notation).  An inadmissible
-configuration is not an error: `check` reports the verdict in the body
-and exits 0.
+work limit), an ``--out`` path that cannot be written or running out of
+memory, 2 on a usage error (unparseable flags or singularity notation).
+An inadmissible configuration is not an error: `check` reports the verdict
+in the body and exits 0.
 
 Output is text by default, JSON with ``--format json``; rationals print
 reduced as "p/q" (or "n" when the denominator is 1) and serialize as
@@ -51,10 +51,13 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
-    if args.format == "json":
-        body = json.dumps(payload, indent=2) + "\n"
-    else:
-        body = text if text.endswith("\n") else text + "\n"
+    _write(args, json.dumps(payload, indent=2) if args.format == "json" else text)
+
+
+def _write(args: argparse.Namespace, body: str) -> None:
+    """Print the finished report, newline-terminated, to stdout or ``--out``."""
+    if not body.endswith("\n"):
+        body += "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -181,7 +184,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     result = enumerator.enumerate_configurations(args.degree, args.mode)
-    _emit(args, result.to_text(), result.to_json_dict())
+    _write(args, result.to_json() if args.format == "json" else result.to_text())
     return 0
 
 
@@ -521,6 +524,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (ValueError, LookupError, ArithmeticError, OutputError) as exc:
         print(f"orbcalc: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("orbcalc: out of memory", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # downstream closed the pipe (e.g. `orbcalc enumerate ... | head`);

@@ -281,6 +281,56 @@ def _descending_counts(energies: Sequence[int], budget: int) -> list[tuple[int, 
     return out
 
 
+# The parts of one configuration's JSON text, as json.dumps(..., indent=2)
+# lays them out inside an enumeration.  The caches are keyed by small values
+# that recur across configurations, never by a whole configuration.
+
+
+def _indented_json(obj, pad: str) -> str:
+    """``json.dumps(obj, indent=2)`` for a value nested one ``pad`` deep."""
+    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+
+
+@functools.lru_cache(maxsize=512)
+def _singularity_lines(s: SingularityType, count: int) -> str:
+    line = "        " + json.dumps(catalog.format_singularity(s))
+    return ",\n".join([line] * count)
+
+
+@functools.lru_cache(maxsize=256)
+def _bubbles_json_text(bubbles: invariants.BubbleBounds) -> str:
+    return _indented_json(bubbles.to_json(), "      ")
+
+
+@functools.lru_cache(maxsize=256)
+def _verdicts_json_text(verdicts: tuple[tuple[str, bool], ...]) -> str:
+    return _indented_json(dict(verdicts), "      ")
+
+
+def _rational_json_text(q: Optional[Fraction]) -> str:
+    if q is None:
+        return "null"
+    return f'{{\n        "num": {q.numerator},\n        "den": {q.denominator}\n      }}'
+
+
+def _summary_json_text(report: ConstraintReport) -> str:
+    """``report.summary_json()`` as it sits in :meth:`EnumerationResult.to_json`."""
+    sings = ",\n".join(
+        _singularity_lines(s, c) for s, c in report.config.counts.items()
+    )
+    sings = f"[\n{sings}\n      ]" if sings else "[]"
+    return (
+        "    {\n"
+        f'      "singularities": {sings},\n'
+        f'      "twelve_sum_mu": {_rational_json_text(report.twelve_sum_mu)},\n'
+        f'      "chi_orb_if_chi_known": {_rational_json_text(report.chi_orb)},\n'
+        f'      "derived_picard_rank": {_rational_json_text(report.hrr.picard_rank)},\n'
+        f'      "bubble_bounds": {_bubbles_json_text(report.bubbles)},\n'
+        f'      "verdicts": {_verdicts_json_text(tuple(report.verdicts().items()))}\n'
+        "    }"
+    )
+
+
 @dataclass
 class EnumerationResult:
     """Everything the search found for one degree and mode."""
@@ -309,7 +359,22 @@ class EnumerationResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """``json.dumps(self.to_json_dict(), indent=2)``, written straight from the reports.
+
+        The same bytes, without building the dict and without ``json``'s
+        pure-Python indenting encoder: each configuration fills one fixed
+        template (:func:`_summary_json_text`).
+        """
+        configs = ",\n".join(map(_summary_json_text, self.reports))
+        configs = f"[\n{configs}\n  ]" if configs else "[]"
+        return (
+            "{\n"
+            f'  "degree": {json.dumps(self.degree)},\n'
+            f'  "mode": {json.dumps(self.mode)},\n'
+            f'  "configurations": {configs},\n'
+            f'  "max_multiplicity": {_indented_json(self.max_multiplicity(), "  ")}\n'
+            "}"
+        )
 
     def to_text(self) -> str:
         lines = [

@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import catalog
 from .catalog import SingularityType
-from .rationals import format_rational, rational_to_json
+from .rationals import as_rational, format_rational, rational_to_json
 
 ANTICANONICAL = "anticanonical"
 CANONICAL_SQUARE = "canonical_square"
@@ -221,8 +221,8 @@ def bubble_count_bounds(
     total below one quantum cannot be realized at all and is reported as a
     violation rather than raised.
     """
-    total = Fraction(total_energy_units)
-    quantum = Fraction(min_quantum_units)
+    total = as_rational(total_energy_units)
+    quantum = as_rational(min_quantum_units)
     if quantum.numerator <= 0:
         raise ValueError("bubble energy quantum must be positive")
     if total.numerator < 0:
@@ -313,7 +313,7 @@ class ConstraintReport:
 
     @property
     def budget_ok(self) -> bool:
-        return Fraction(0) < self.twelve_sum_mu < self.budget
+        return 0 < self.twelve_sum_mu < self.budget
 
     @property
     def is_smooth(self) -> bool:
@@ -322,30 +322,39 @@ class ConstraintReport:
     @property
     def admissible(self) -> bool:
         """Budget satisfied, integral positive Picard rank, no exclusion hit."""
+        return self._admissible(self.budget_ok, self.hrr.picard_ok)
+
+    def _admissible(self, budget_ok: bool, picard_ok: bool) -> bool:
+        # the Milnor ledger is reported, not required
         return (
-            self.budget_ok
-            and self.hrr.picard_ok
+            budget_ok
+            and picard_ok
             and self.allowed_types_ok
             and all(self.exclusions.values())
             and (self.chi_limit_check is None or self.chi_limit_check.holds)
         )
 
     def verdicts(self) -> dict:
+        budget_ok, picard_ok = self.budget_ok, self.hrr.picard_ok
         out = {
-            "budget_ok": self.budget_ok,
+            "budget_ok": budget_ok,
             "milnor_ledger_holds": self.hrr.milnor_ledger.holds,
-            "picard_rank_is_positive_integer": self.hrr.picard_ok,
+            "picard_rank_is_positive_integer": picard_ok,
             "types_allowed_for_degree": self.allowed_types_ok,
         }
         if self.chi_limit_check is not None:
             out["chi_limit_matches_degree"] = self.chi_limit_check.holds
         for name, passed in self.exclusions.items():
             out[f"exclusion:{name}"] = passed
-        out["admissible"] = self.admissible
+        out["admissible"] = self._admissible(budget_ok, picard_ok)
         return out
 
     def summary_json(self) -> dict:
-        """The keys one configuration carries in an enumeration's JSON."""
+        """The keys one configuration carries in an enumeration's JSON.
+
+        ``EnumerationResult.to_json`` writes the same as text, without this
+        dict (``enumerator._summary_json_text``); a change here goes there too.
+        """
         return {
             "singularities": [
                 catalog.format_singularity(s) for s in self.config.singularities

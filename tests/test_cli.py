@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from orbcalc import enumerator
+from orbcalc import cli, enumerator
 from orbcalc.cli import main
 
 
@@ -210,6 +210,27 @@ def test_enumerate_text_summary(capsys):
     assert "5 configurations" in out
     assert "A1: 5" in out
     assert "smooth case" in out
+
+
+@pytest.mark.parametrize("mode", enumerator.MODES)
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_enumerate_json_is_the_library_writer(capsys, degree, mode):
+    code, out, _ = run(
+        capsys, "enumerate", "--degree", str(degree), "--mode", mode, "--format", "json"
+    )
+    assert code == 0
+    assert out == enumerator.enumerate_configurations(degree, mode).to_json() + "\n"
+
+
+def test_out_of_memory_is_one_line_error(capsys, monkeypatch):
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_mu", out_of_memory)
+    code, out, err = run(capsys, "mu", "--sing", "A1")
+    assert code == 1
+    assert out == ""
+    assert err == "orbcalc: out of memory\n"
 
 
 def test_bubbles_reports_violation(capsys):

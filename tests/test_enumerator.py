@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from bisect import bisect_left
 from collections import Counter
@@ -20,13 +21,14 @@ from orbcalc.enumerator import (
     INEQUALITY_ONLY,
     MODES,
     WITH_EXCLUSIONS,
+    EnumerationResult,
     ExclusionRule,
     check_config,
     check_pair_rule,
     enumerate_configurations,
     rules_for_degree,
 )
-from orbcalc.invariants import OrbifoldConfig
+from orbcalc.invariants import MIN_BUBBLE_ENERGY_UNITS, OrbifoldConfig
 
 A = lambda k: ADE("A", k)
 D = lambda k: ADE("D", k)
@@ -324,3 +326,60 @@ def test_json_schema_keys():
     assert entry["chi_orb_if_chi_known"] is None
     assert set(entry["bubble_bounds"]) == {"min", "max", "exact_fit"}
     assert set(entry["twelve_sum_mu"]) == {"num", "den"}
+
+
+def assert_writer_matches_dict(result):
+    assert result.to_json() == json.dumps(result.to_json_dict(), indent=2)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_to_json_writes_the_bytes_of_the_dict_encoding(degree, mode):
+    assert_writer_matches_dict(enumerate_configurations(degree, mode))
+
+
+def test_to_json_escapes_rule_names_like_json_dumps():
+    names = (
+        'quote "q"',
+        "back\\slash",
+        "d\u00e9j\u00e0 vu \u2028 \U0001d54f",
+        "tab\tnew\nline",
+    )
+    rules = [ExclusionRule(name, 2, "", lambda counts: True) for name in names]
+    result = enumerate_configurations(2, WITH_EXCLUSIONS, exclusion_rules=rules)
+    assert list(result.reports[0].exclusions) == list(names)
+    assert_writer_matches_dict(result)
+    no_rules = enumerate_configurations(2, WITH_EXCLUSIONS, exclusion_rules=())
+    assert_writer_matches_dict(no_rules)
+
+
+def test_to_json_with_no_surviving_configuration():
+    reject_all = ExclusionRule("reject-all", 3, "", lambda counts: False)
+    result = enumerate_configurations(3, WITH_EXCLUSIONS, exclusion_rules=(reject_all,))
+    assert result.reports == []
+    assert '"configurations": [],' in result.to_json()
+    assert_writer_matches_dict(result)
+
+
+def test_to_json_writes_every_field_a_report_can_carry():
+    # a search never builds a bubble violation: every allowed type carries at
+    # least one quantum of energy, so every non-empty configuration does too
+    for degree in (1, 2, 3, 4):
+        for t in rules_for_degree(degree).allowed_types:
+            assert 12 * mu_anticanonical(t) >= MIN_BUBBLE_ENERGY_UNITS
+    # so reports the search cannot produce are put in by hand: a violation,
+    # a known chi (chi_orb and a chi_limit verdict) and no singularities
+    negative = check_config(
+        OrbifoldConfig(degree=1, singularities=(Q(5, 1, 2),), euler_topological=3)
+    )
+    assert negative.bubbles.violation == "negative total energy"
+    known_chi = check_config(
+        OrbifoldConfig(
+            degree=1, singularities=(A(8), Q(9, 1, 2), Q(9, 1, 2)), euler_topological=3
+        )
+    )
+    smooth = check_config(OrbifoldConfig(degree=1, singularities=()))
+    result = EnumerationResult(
+        1, WITH_EXCLUSIONS, [negative, known_chi, smooth], smooth, rules_for_degree(1)
+    )
+    assert_writer_matches_dict(result)
