@@ -31,6 +31,7 @@ receives the configuration's ``config.counts`` (type -> count).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -228,7 +229,7 @@ def check_config(
             f"type not admissible for this analysis: {exc}"
         ) from None
     twelve_mu = hrr.twelve_sum_mu
-    if twelve_mu < 0:
+    if twelve_mu.numerator < 0:
         # a rejected configuration, not an error: budget_ok is False too
         bubbles = invariants.BubbleBounds(0, 0, False, violation="negative total energy")
     else:
@@ -302,6 +303,12 @@ def _bubbles_json_text(bubbles: invariants.BubbleBounds) -> str:
     return _indented_json(bubbles.to_json(), "      ")
 
 
+@functools.lru_cache(maxsize=512)
+def _notation_piece(s: SingularityType, count: int) -> str:
+    """One ``(type, count)`` item of :func:`catalog.format_counts`."""
+    return catalog.format_counts({s: count})
+
+
 @functools.lru_cache(maxsize=256)
 def _verdicts_json_text(verdicts: tuple[tuple[str, bool], ...]) -> str:
     return _indented_json(dict(verdicts), "      ")
@@ -343,6 +350,11 @@ class EnumerationResult:
 
     def max_multiplicity(self) -> dict[str, int]:
         """Per-type maximum multiplicity over the surviving configurations."""
+        return dict(self._max_multiplicity)
+
+    @functools.cached_property
+    def _max_multiplicity(self) -> dict[str, int]:
+        # scanned once per result, on first use
         best = {t: 0 for t in self.rules.allowed_types}
         for report in self.reports:
             for t, c in report.config.counts.items():
@@ -390,7 +402,10 @@ class EnumerationResult:
         lines.append("smooth case: 12*sum(mu) = 0, non-degenerating, "
                       f"picard rank {format_rational(self.smooth.hrr.picard_rank)}")
         lines.append("")
-        names = [r.config.notation() for r in self.reports]
+        names = [
+            ", ".join(itertools.starmap(_notation_piece, r.config.counts.items()))
+            for r in self.reports
+        ]
         width = max(map(len, names), default=0)
         for name, r in zip(names, self.reports):
             rho = format_rational(r.hrr.picard_rank)

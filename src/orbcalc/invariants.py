@@ -21,6 +21,7 @@ units (6*pi^2), which is the quantum used for bubble counting.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -39,7 +40,7 @@ BUNDLES = (ANTICANONICAL, CANONICAL_SQUARE)
 MIN_BUBBLE_ENERGY_UNITS = Fraction(3, 4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbifoldConfig:
     """A degree plus a multiset of singularities, with optional topology data."""
 
@@ -76,16 +77,17 @@ class OrbifoldConfig:
         it is expanded and counted once, with no sort.  The result equals
         ``OrbifoldConfig(degree, singularities=...)`` of the same multiset.
         """
-        counts = Counter({t: c for t, c in zip(types, vector) if c})
+        # the Counter Counter(mapping) builds, filled by dict.update without
+        # Counter.__init__ and Counter.update's Mapping ABC check
+        counts = Counter.__new__(Counter)
+        dict.update(counts, [(t, c) for t, c in zip(types, vector) if c])
         self = cls.__new__(cls)
-        for name, value in (
-            ("degree", degree),
-            ("singularities", tuple(counts.elements())),
-            ("euler_topological", None),
-            ("picard_rank", None),
-            ("counts", counts),
-        ):
-            object.__setattr__(self, name, value)
+        set_field = object.__setattr__
+        set_field(self, "degree", degree)
+        set_field(self, "singularities", tuple(counts.elements()))
+        set_field(self, "euler_topological", None)
+        set_field(self, "picard_rank", None)
+        set_field(self, "counts", counts)
         self._validate()
         return self
 
@@ -160,7 +162,7 @@ def euler_double_cover(chi_base: int, chi_branch: int) -> int:
     return 2 * chi_base - chi_branch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentityCheck:
     """Both sides of one exact identity, so reports can show their arithmetic."""
 
@@ -170,7 +172,12 @@ class IdentityCheck:
 
     @property
     def holds(self) -> bool:
-        return self.lhs == self.rhs
+        # lhs == rhs, decided on the integers of two lowest-terms rationals
+        # (ints or Fractions); Fraction.__eq__ goes through the numbers ABCs
+        lhs, rhs = self.lhs, self.rhs
+        return lhs is rhs or (
+            lhs.numerator == rhs.numerator and lhs.denominator == rhs.denominator
+        )
 
     def to_json(self) -> dict:
         return {
@@ -181,7 +188,7 @@ class IdentityCheck:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BubbleBounds:
     """How many ALE bubbles a given total energy allows."""
 
@@ -237,7 +244,7 @@ def bubble_count_bounds(
     return BubbleBounds(1, max_count, rest == 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HrrMilnorReport:
     """Fragment produced by :func:`hrr_milnor_check`."""
 
@@ -249,11 +256,14 @@ class HrrMilnorReport:
 
     @property
     def picard_ok(self) -> bool:
-        return (
-            self.picard_noether.holds
-            and self.picard_rank.denominator == 1
-            and self.picard_rank >= 1
-        )
+        rho = self.picard_rank
+        return rho.denominator == 1 and rho.numerator >= 1 and self.picard_noether.holds
+
+
+@functools.cache
+def _picard_target(degree: int) -> Fraction:
+    """10 - d, the Picard rank of a smooth degree-d Del Pezzo, built once per degree."""
+    return Fraction(10 - degree)
 
 
 def hrr_milnor_check(config: OrbifoldConfig) -> HrrMilnorReport:
@@ -267,37 +277,43 @@ def hrr_milnor_check(config: OrbifoldConfig) -> HrrMilnorReport:
     integer (a necessary condition for the configuration to be realized).
     The three sums are integer dot products: each distinct type's cached
     row, put over the configuration's common denominator L by
-    :func:`catalog.scaled_ledger_rows`, weighted by its count.  Fractions
-    are built only for the values the report stores.
+    :func:`catalog.scaled_ledger_rows`, weighted by its count.  Only 12*sum mu
+    and rho are new Fractions: ``10 - d`` is built once per degree, and a
+    side whose integer sum equals the other side's is that same object.
     """
     if config.degree is None:
         raise ValueError("hrr_milnor_check needs the degeneration degree")
-    scale, rows = catalog.scaled_ledger_rows(config.counts)
+    counts = config.counts
+    scale, rows = catalog.scaled_ledger_rows(tuple(counts))
     sum_one_minus = sum_milnor = twelve_mu = 0
-    for count, (one_minus, nu, twelve) in zip(config.counts.values(), rows):
+    for count, (one_minus, nu, twelve) in zip(counts.values(), rows):
         sum_one_minus += count * one_minus
         sum_milnor += count * nu
         twelve_mu += count * twelve
+    twelve_sum_mu = Fraction(twelve_mu, scale)
+    ledger = sum_one_minus + sum_milnor
     first = IdentityCheck(
         "milnor_ledger",
-        Fraction(sum_one_minus + sum_milnor, scale),
-        Fraction(twelve_mu, scale),
+        twelve_sum_mu if ledger == twelve_mu else Fraction(ledger, scale),
+        twelve_sum_mu,
     )
-    target = 10 - config.degree
+    target = _picard_target(config.degree)
+    target_units = (10 - config.degree) * scale
     provided = config.picard_rank is not None
     if provided:
         rho = config.picard_rank * scale
     else:
-        rho = target * scale - twelve_mu + sum_one_minus
+        rho = target_units - twelve_mu + sum_one_minus
+    noether = rho + twelve_mu - sum_one_minus
     second = IdentityCheck(
         "picard_noether",
-        Fraction(rho + twelve_mu - sum_one_minus, scale),
-        Fraction(target),
+        target if noether == target_units else Fraction(noether, scale),
+        target,
     )
-    return HrrMilnorReport(first, second, Fraction(rho, scale), provided, first.rhs)
+    return HrrMilnorReport(first, second, Fraction(rho, scale), provided, twelve_sum_mu)
 
 
-@dataclass
+@dataclass(slots=True)
 class ConstraintReport:
     """Per-configuration verdict: every identity with both sides exact."""
 
@@ -313,7 +329,11 @@ class ConstraintReport:
 
     @property
     def budget_ok(self) -> bool:
-        return 0 < self.twelve_sum_mu < self.budget
+        # 0 < twelve_sum_mu < budget, cross-multiplied over positive denominators
+        t, budget = self.twelve_sum_mu, self.budget
+        return 0 < t.numerator and (
+            t.numerator * budget.denominator < budget.numerator * t.denominator
+        )
 
     @property
     def is_smooth(self) -> bool:

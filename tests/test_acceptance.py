@@ -46,6 +46,7 @@ def _clear_arithmetic_caches():
     cyclotomic._field.cache_clear()
     catalog.mu_anticanonical.cache_clear()
     catalog.ledger_row.cache_clear()
+    catalog.scaled_ledger_rows.cache_clear()
     enumerator._energy_table.cache_clear()
 
 

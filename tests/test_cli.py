@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbcalc import cli, enumerator
 from orbcalc.cli import main
@@ -327,3 +331,93 @@ def test_cli_import_leaves_out_the_cyclotomic_oracle():
         check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+# argv fuzzing: every generated command line must end in a result, a verdict
+# or a one-line error.  Orders and multiplicities stay small, far below
+# dedekind.MAX_WORK and catalog.MAX_POINTS, so each call stays cheap.
+# --out is left out (it writes files; its failures have tests above), and so
+# is verify-examples, which takes no input and costs half a second a run.
+
+_SMALL_INTS = st.integers(min_value=-3, max_value=60).map(str)
+_TYPE_NAMES = st.sampled_from(
+    ["A1", "A4", "A8", "A0", "D4", "D5", "E6", "E9", "B2",
+     "1/4(1,1)", "1/8(1,3)", "1/9(1,2)", "1/5(1,2)", "1/6(2,3)", "1/1(1,1)"]
+)
+_SINGS = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=12), _TYPE_NAMES).map(
+        lambda item: item[1] if item[0] == 1 else f"{item[0]}x {item[1]}"
+    ),
+    max_size=4,
+).map(", ".join)
+_RATIONAL_TEXT = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=50).map(str),
+    st.sampled_from(["0", "3/4", "1/0", "1e3", "2.5", "-", "x/y", ""]),
+)
+_JUNK = st.text(alphabet="-/,.()x0123456789Aae ", max_size=8)
+_INT_LISTS = st.lists(st.integers(min_value=-5, max_value=60), min_size=1, max_size=4).map(
+    lambda xs: ",".join(map(str, xs))
+)
+_FLAG_VALUES = {
+    "dedekind": {"--r": _SMALL_INTS, "--weights": _INT_LISTS, "--index": _SMALL_INTS},
+    "mu": {"--sing": _TYPE_NAMES, "--bundle": st.sampled_from(
+        ["anticanonical", "canonical-square", "adjoint"])},
+    "chi-orb": {"--chi": _SMALL_INTS, "--sings": _SINGS},
+    "genus": {"--weights": _INT_LISTS, "--degree": _SMALL_INTS},
+    "double-cover": {"--chi-base": _SMALL_INTS, "--chi-branch": _SMALL_INTS},
+    "check": {"--degree": _SMALL_INTS, "--sings": _SINGS, "--chi": _SMALL_INTS,
+              "--picard": _SMALL_INTS, "--mode": st.sampled_from(enumerator.MODES)},
+    "enumerate": {"--degree": st.sampled_from(["0", "1", "2", "3", "4", "5", "-1"]),
+                  "--mode": st.sampled_from(enumerator.MODES + ("loose",)),
+                  "--workers": _SMALL_INTS},
+    "bubbles": {"--total": _RATIONAL_TEXT, "--quantum": _RATIONAL_TEXT},
+}
+_COMMON_FLAGS = {"--format": st.sampled_from(["text", "json", "yaml"])}
+_NINE_IN_TEN = st.sampled_from([True] * 9 + [False])
+_REQUIRED = {
+    "dedekind": ("--r", "--weights"),
+    "mu": ("--sing",),
+    "chi-orb": ("--chi",),
+    "genus": ("--weights", "--degree"),
+    "double-cover": ("--chi-base", "--chi-branch"),
+    "check": ("--degree",),
+    "enumerate": ("--degree",),
+    "bubbles": ("--total",),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAG_VALUES) + ["--help"]))
+    flags = {**_FLAG_VALUES.get(command, {}), **_COMMON_FLAGS}
+    chosen = list(_REQUIRED.get(command, ())) if draw(_NINE_IN_TEN) else []
+    chosen += draw(st.lists(st.sampled_from(sorted(flags)), max_size=3))
+    argv = [command]
+    for flag in chosen:
+        if not draw(_NINE_IN_TEN):  # a few flags lack a value
+            argv.append(flag)
+        else:
+            # "--flag=value" lets a value that starts with "-" through argparse
+            value = draw(flags[flag])
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if not draw(_NINE_IN_TEN):
+        argv.insert(draw(st.integers(min_value=0, max_value=len(argv))), draw(_JUNK))
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_argv_ends_in_result_verdict_or_one_line_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors and --help
+            code = exc.code
+    elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+    assert elapsed < 5.0, argv

@@ -212,3 +212,58 @@ def test_work_limit_refuses_before_allocating():
     ):
         with pytest.raises(ValueError, match="over the limit"):
             sigma(r, weights, 0)
+
+
+# A second route for two-weight sums, with no roots of unity: the classical
+# Dedekind sum s(q, r) through the Hirzebruch-Jung continued fraction and
+# through reciprocity, tied to sigma_0(1/r(1, q)) = -s(q, r) + (r - 1)/(4r).
+# Grounding: Hirzebruch & Zagier (1974); Rademacher & Grosswald (1972).
+
+
+def _hj_fraction(r, q):
+    """r/q = b_1 - 1/(b_2 - 1/(... - 1/b_k)), every b_i >= 2."""
+    entries = []
+    while q:
+        b = -(-r // q)  # ceil(r / q)
+        entries.append(b)
+        r, q = q, b * q - r
+    return entries
+
+
+def _dedekind_s_hj(q, r):
+    """12 s(q, r) = (q + q*)/r + sum (b_i - 3), with q q* = 1 mod r."""
+    q_star = pow(q, -1, r) if r > 1 else 0
+    return (Fraction(q + q_star, r) + sum(b - 3 for b in _hj_fraction(r, q))) / 12
+
+
+def _dedekind_s_reciprocity(q, r):
+    """s(q, r) + s(r mod q, q) = -1/4 + (q/r + r/q + 1/(qr))/12, down to s(0, 1) = 0."""
+    if r == 1:
+        return Fraction(0)
+    main_term = Fraction(q, r) + Fraction(r, q) + Fraction(1, q * r)
+    return Fraction(-1, 4) + main_term / 12 - _dedekind_s_reciprocity(r % q, q)
+
+
+_COPRIME_PAIRS = [(q, r) for r in range(2, 60) for q in range(1, r) if math.gcd(q, r) == 1]
+
+
+def test_hirzebruch_jung_fraction_shape():
+    assert _hj_fraction(5, 2) == [3, 2]
+    assert _hj_fraction(9, 2) == [5, 2]
+    assert _hj_fraction(8, 3) == [3, 3]
+    assert _hj_fraction(7, 6) == [2] * 6  # A_6
+    for q, r in _COPRIME_PAIRS:
+        entries = _hj_fraction(r, q)
+        assert min(entries) >= 2
+        value = Fraction(entries[-1])
+        for b in reversed(entries[:-1]):
+            value = b - 1 / value
+        assert value == Fraction(r, q)
+
+
+def test_two_weight_sigma_by_continued_fractions_and_reciprocity():
+    assert len(_COPRIME_PAIRS) == 1085
+    for q, r in _COPRIME_PAIRS:
+        s = _dedekind_s_hj(q, r)
+        assert _dedekind_s_reciprocity(q, r) == s, (q, r)
+        assert sigma(r, (1, q), 0) == -s + Fraction(r - 1, 4 * r), (q, r)

@@ -172,6 +172,16 @@ def test_published_max_multiplicities():
     assert degree1["1/8(1,3)"] == 5
 
 
+def test_max_multiplicity_scans_once_and_returns_a_fresh_dict(monkeypatch):
+    result = enumerate_configurations(2, INEQUALITY_ONLY)
+    first = result.max_multiplicity()
+    # a second call must not read the reports again
+    monkeypatch.setattr(result, "reports", None)
+    first["A4"] = 99
+    assert result.max_multiplicity()["A4"] == 2
+    assert result.max_multiplicity() is not result.max_multiplicity()
+
+
 def test_degree1_configuration_count_is_frozen():
     # regression pin for the full budget-only search; cross-checked against
     # the brute-force oracle above

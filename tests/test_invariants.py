@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -13,11 +14,13 @@ from orbcalc.catalog import (
     mu_anticanonical,
     sort_key,
 )
+from orbcalc.enumerator import check_config
 from orbcalc.invariants import (
     ANTICANONICAL,
     CANONICAL_SQUARE,
     MIN_BUBBLE_ENERGY_UNITS,
     BubbleBounds,
+    ConstraintReport,
     HrrMilnorReport,
     IdentityCheck,
     OrbifoldConfig,
@@ -264,3 +267,89 @@ def test_orbifold_config_normalizes_and_validates():
         OrbifoldConfig(degree=5, singularities=())
     with pytest.raises(ValueError):
         OrbifoldConfig(degree=1, singularities=(), picard_rank=0)
+
+
+# Values for the integer-decided verdicts: negative, zero, integral and
+# non-integral, as Fractions or as plain ints.
+_RATIONALS = st.one_of(
+    st.integers(min_value=-30, max_value=30),
+    st.integers(min_value=-30, max_value=30).map(Fraction),
+    st.fractions(min_value=-30, max_value=30, max_denominator=40),
+)
+
+
+@st.composite
+def _rational_pairs(draw):
+    """Two rationals, often equal in value or sharing a numerator or denominator."""
+    a = draw(_RATIONALS)
+    num, den = a.numerator, a.denominator
+    other = draw(st.integers(min_value=-30, max_value=30))
+    kind = draw(
+        st.sampled_from(
+            ("free", "same object", "equal copy", "same numerator", "same denominator")
+        )
+    )
+    if kind == "free":
+        return a, draw(_RATIONALS)
+    if kind == "same object":
+        return a, a
+    if kind == "equal copy":
+        return a, (num if den == 1 and draw(st.booleans()) else Fraction(num, den))
+    if kind == "same numerator":
+        return a, Fraction(num, draw(st.integers(min_value=1, max_value=40)))
+    return a, Fraction(other, den)
+
+
+def _report_with(twelve_sum_mu, budget, rho, noether_lhs, noether_rhs):
+    config = OrbifoldConfig(degree=1, singularities=())
+    hrr = HrrMilnorReport(
+        IdentityCheck("milnor_ledger", twelve_sum_mu, twelve_sum_mu),
+        IdentityCheck("picard_noether", noether_lhs, noether_rhs),
+        rho,
+        False,
+        twelve_sum_mu,
+    )
+    return ConstraintReport(
+        config, twelve_sum_mu, budget, hrr, BubbleBounds(0, 0, True), True
+    )
+
+
+@given(_rational_pairs(), _rational_pairs(), _rational_pairs())
+@settings(max_examples=400, deadline=None)
+def test_integer_verdicts_equal_the_fraction_expressions(energy, rho_pair, noether):
+    t, budget = energy
+    rho = rho_pair[0]
+    lhs, rhs = noether
+    report = _report_with(t, budget, rho, lhs, rhs)
+    holds = lhs == rhs
+    assert report.hrr.picard_noether.holds is holds
+    assert report.budget_ok is (0 < t < budget)
+    assert report.hrr.picard_ok is (rho.denominator == 1 and rho >= 1 and holds)
+
+
+_REPORT_CLASSES = (OrbifoldConfig, IdentityCheck, BubbleBounds, HrrMilnorReport, ConstraintReport)
+
+
+def _compared_fields(obj):
+    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj) if f.compare)
+
+
+def test_report_classes_are_slotted_with_dataclass_eq_and_hash():
+    report = hrr_milnor_check(DEGREE1_EXAMPLE)
+    constraint = check_config(DEGREE1_EXAMPLE)
+    samples = (DEGREE1_EXAMPLE, report.milnor_ledger, constraint.bubbles, report, constraint)
+    for cls, obj in zip(_REPORT_CLASSES, samples):
+        assert type(obj) is cls
+        assert "__slots__" in cls.__dict__
+        assert not hasattr(obj, "__dict__")
+        twin = dataclasses.replace(obj)
+        assert twin == obj and twin is not obj
+        if cls is ConstraintReport:
+            assert cls.__hash__ is None  # mutable, so unhashable, as before
+        else:
+            assert hash(twin) == hash(obj) == hash(_compared_fields(obj))
+    assert DEGREE1_EXAMPLE != dataclasses.replace(DEGREE1_EXAMPLE, picard_rank=1)
+    assert report.milnor_ledger != dataclasses.replace(report.milnor_ledger, name="other")
+    assert constraint != dataclasses.replace(constraint, allowed_types_ok=False)
+    # counts is derived, so it takes no part in == or hash
+    assert "counts" not in [f.name for f in dataclasses.fields(OrbifoldConfig) if f.compare]
