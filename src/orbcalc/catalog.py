@@ -32,7 +32,7 @@ of a quotient type is derived from the per-point ledger identity
 (A_k -> k, D_4 -> 4) on the canonical types.  :func:`ledger_row` derives
 each type's row (1 - 1/n, nu, 12*mu(K^-1)) once, as integer numerators
 over the row's least common denominator, and caches it; it is the only
-place nu is computed.  :func:`scaled_ledger_rows` puts several distinct
+place nu is computed.  ``invariants.TypeTable`` puts several distinct
 types' rows over one common denominator, so that ledger sums and energy
 budgets become integer dot products; :func:`ledger_terms` gives one row as
 Fractions.
@@ -168,26 +168,6 @@ def ledger_row(s: SingularityType) -> tuple[int, int, int, int]:
     one_minus = (n - 1) * (den // n)
     twelve = twelve_mu.numerator * (den // twelve_mu.denominator)
     return den, one_minus, twelve - one_minus, twelve
-
-
-@functools.lru_cache(maxsize=1024)
-def scaled_ledger_rows(
-    types: tuple[SingularityType, ...],
-) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    """The types' :func:`ledger_row` rows over one denominator: ``(L, ((o, nu, t), ...))``.
-
-    ``L`` is the least common multiple of the rows' denominators (1 for no
-    types); each row's numerators are rescaled to it, in input order.
-    Cached by the tuple of distinct types, of which a degree's search meets
-    at most a few hundred.
-    """
-    rows = [ledger_row(s) for s in types]
-    scale = math.lcm(*(row[0] for row in rows))
-    scaled = []
-    for den, one_minus, nu, twelve in rows:
-        factor = scale // den
-        scaled.append((one_minus * factor, nu * factor, twelve * factor))
-    return scale, tuple(scaled)
 
 
 def ledger_terms(s: SingularityType) -> tuple[Fraction, Fraction, Fraction]:

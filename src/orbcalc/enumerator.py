@@ -9,14 +9,14 @@ its total bubble energy is pinned between 0 and 12 - d:
 Since every type's energy is positive, the multisets satisfying the
 inequality form a finite set which depth-first search enumerates exactly:
 types in catalog order, multiplicity descending, pruning a branch the
-moment its partial energy reaches the budget.  The search runs on
-integers: each allowed type's energy 12*mu is scaled by L, the least
-common multiple of the denominators of the degree's ledger rows (2520,
-60, 6 and 2 for degrees 1-4), and so is the budget.  Every count vector
-found becomes an ``OrbifoldConfig`` directly, with no re-sort, and gets
-one full identity report (Milnor ledger, derived Picard rank,
-bubble-count window, exclusion verdicts), built in a single pass; only
-the values a report stores are Fractions.
+moment its partial energy reaches the budget.  The search runs on one
+integer ``TypeTable`` per degree, whose ledger rows are scaled by L, the
+lcm of their denominators (2520, 60, 6 and 2 for degrees 1-4), and carries
+the sums of ``1 - 1/n``, ``nu`` and ``12*mu`` down as integers.  Each count
+vector's verdicts (budget, Milnor ledger, derived Picard rank, bubble
+window) are decided on those integers, and the writers print straight
+from them.  A configuration's full ``ConstraintReport`` is built by
+:func:`check_config` only when ``result.reports`` is read.
 
 Two modes.  ``inequality-only`` is precisely the energy inequality.
 ``with-exclusions`` additionally applies named exclusion rules that
@@ -31,16 +31,17 @@ receives the configuration's ``config.counts`` (type -> count).
 from __future__ import annotations
 
 import functools
-import itertools
 import json
+import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from . import catalog, invariants
 from .catalog import ADE, CyclicQuotient, NotTabulatedError, SingularityType
-from .invariants import ConstraintReport, OrbifoldConfig
+from .invariants import ConstraintReport, OrbifoldConfig, TypeTable
 # rational_to_json is unused here but kept: perfbench/tracing.py wraps this attribute
 from .rationals import format_rational, rational_to_json  # noqa: F401
 
@@ -179,17 +180,6 @@ def rules_for_degree(
     return replace(rules, exclusion_rules=tuple(exclusion_rules))
 
 
-@functools.cache
-def _energy_table(degree: int) -> tuple[tuple[int, ...], int]:
-    """The degree's type energies 12*mu and budget 12 - d, all scaled by L.
-
-    L is the lcm of the denominators of the allowed types' ledger rows, so
-    every entry is an integer.
-    """
-    scale, rows = catalog.scaled_ledger_rows(_ALLOWED_TYPES[degree])
-    return tuple(twelve for _, _, twelve in rows), (12 - degree) * scale
-
-
 def check_pair_rule(degree: int, k: int, l: int) -> bool:
     """Whether {A_k, A_l} alone fits the degree-1 energy budget.
 
@@ -208,6 +198,11 @@ def _validated_mode(mode: str) -> str:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     return mode
+
+
+def _exclusion_outcomes(rules: Sequence[ExclusionRule], counts: Counter) -> dict:
+    """Rule name -> passed; a later rule of the same name overrides an earlier one."""
+    return {r.name: r.predicate(counts) for r in rules}
 
 
 def check_config(
@@ -243,7 +238,7 @@ def check_config(
         )
     exclusions = {}
     if mode == WITH_EXCLUSIONS:
-        exclusions = {r.name: r.predicate(config.counts) for r in exclusion_rules}
+        exclusions = _exclusion_outcomes(exclusion_rules, config.counts)
     return ConstraintReport(
         config=config,
         twelve_sum_mu=twelve_mu,
@@ -257,29 +252,144 @@ def check_config(
     )
 
 
-def _descending_counts(energies: Sequence[int], budget: int) -> list[tuple[int, ...]]:
-    """All count vectors with 0 < sum(c*e) < budget, in descending lex order.
 
-    Energies and budget are integers, every energy positive.
+
+def _search(table: TypeTable) -> list[tuple[tuple[int, ...], int, int, int]]:
+    """Every count vector with ``0 < 12*sum(mu) < 12 - d``, in descending lex order.
+
+    Each row is ``(vector, o, nu, t)``: the vector and its ledger sums over
+    :attr:`TypeTable.rows`, carried down the search as integers over ``L``.
     """
-    n = len(energies)
+    rows, budget, n = table.rows, table.budget, len(table.rows)
     counts = [0] * n
-    out: list[tuple[int, ...]] = []
+    out: list[tuple[tuple[int, ...], int, int, int]] = []
 
-    def rec(i: int, total: int) -> None:
+    def rec(i: int, o: int, nu: int, t: int) -> None:
         if i == n:
-            if total > 0:
-                out.append(tuple(counts))
+            if t > 0:
+                out.append((tuple(counts), o, nu, t))
             return
-        energy = energies[i]
-        # the largest c with total + c * energy strictly below the budget
-        for c in range((budget - total - 1) // energy, -1, -1):
+        row_o, row_nu, row_t = rows[i]
+        # the largest c with t + c * row_t strictly below the budget
+        for c in range((budget - t - 1) // row_t, -1, -1):
             counts[i] = c
-            rec(i + 1, total + c * energy)
+            rec(i + 1, o + c * row_o, nu + c * row_nu, t + c * row_t)
         counts[i] = 0
 
-    rec(0, 0)
+    rec(0, 0, 0, 0)
     return out
+
+
+def _piece(s: SingularityType, count: int) -> tuple[str, str]:
+    """``count`` points of ``s`` as the writers print them: JSON lines, ``Nx TYPE``."""
+    line = "        " + json.dumps(catalog.format_singularity(s))
+    return ",\n".join([line] * count), catalog.format_counts({s: count})
+
+
+@functools.cache
+def _degree_table(degree: int) -> tuple[TypeTable, list[list[tuple[str, str]]]]:
+    """The degree's :class:`TypeTable`, and ``pieces[i][c] = _piece(types[i], c)``.
+
+    Pieces cover every count the search can reach.  Built on first use.
+    """
+    table = TypeTable(_ALLOWED_TYPES[degree], degree)
+    pieces = [
+        [_piece(s, c) for c in range(table.budget // t + 1)]
+        for s, (_, _, t) in zip(table.types, table.rows)
+    ]
+    return table, pieces
+
+
+# A writer row is what one configuration prints, already decided:
+#   (pieces, twelve_sum_mu, chi_orb or None, picard rank, bubble window, verdicts)
+# with rationals as lowest-terms (num, den) pairs, the window as BubbleBounds'
+# fields and verdicts as ConstraintReport.verdicts() items.
+
+_PICARD_VERDICT = 2  # "picard_rank_is_positive_integer", third in every verdict list
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _report_row(report: ConstraintReport) -> tuple:
+    b, chi_orb = report.bubbles, report.chi_orb
+    return (
+        [_piece(s, c) for s, c in report.config.counts.items()],
+        (report.twelve_sum_mu.numerator, report.twelve_sum_mu.denominator),
+        None if chi_orb is None else (chi_orb.numerator, chi_orb.denominator),
+        (report.hrr.picard_rank.numerator, report.hrr.picard_rank.denominator),
+        (b.min_count, b.max_count, b.exact_fit, b.violation),
+        tuple(report.verdicts().items()),
+    )
+
+
+class _SearchReports(Sequence):
+    """A search's reports, built on access: item ``i`` is ``check_config`` of
+    ``OrbifoldConfig.from_counts`` of ``rows[i]``'s vector, kept once built.
+
+    ``len()`` builds nothing, and :meth:`writer_rows` reads only ``rows``.
+    """
+
+    def __init__(self, degree: int, mode: str, rules: DegreeRules, rows: list) -> None:
+        self.degree, self.mode, self.rules, self.rows = degree, mode, rules, rows
+        self._built: list[Optional[ConstraintReport]] = [None] * len(rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if self._built[i] is None:
+            types, vector = self.rules.allowed_types, self.rows[i][0]
+            config = OrbifoldConfig.from_counts(self.degree, types, vector)
+            self._built[i] = check_config(config, self.mode, self.rules.exclusion_rules)
+        return self._built[i]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, _SearchReports)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def writer_rows(self) -> list[tuple]:
+        """Each row's writer row, decided on its integers ``(o, nu, t)`` over ``L``.
+
+        ``12*sum(mu) = t/L`` and the derived Picard rank is ``(picard_target -
+        t + o)/L``.  No window has a violation: every allowed type carries at
+        least one quantum.  Every row kept passed each exclusion rule.
+        """
+        table, pieces = _degree_table(self.degree)
+        scale, budget, target = table.scale, table.budget, table.picard_target
+        quantum = invariants.MIN_BUBBLE_ENERGY_UNITS
+        rules = self.rules.exclusion_rules if self.mode == WITH_EXCLUSIONS else ()
+        passed = tuple((f"exclusion:{r.name}", True) for r in rules)  # dict() dedupes
+
+        @functools.cache
+        def verdicts(budget_ok: bool, ledger_ok: bool, picard_ok: bool) -> tuple:
+            return (
+                ("budget_ok", budget_ok),
+                ("milnor_ledger_holds", ledger_ok),
+                ("picard_rank_is_positive_integer", picard_ok),
+                ("types_allowed_for_degree", True),
+                *passed,
+                ("admissible", budget_ok and picard_ok),
+            )
+
+        out = []
+        for vector, o, nu, t in self.rows:
+            rho = target - t + o
+            bubbles, rest = divmod(t * quantum.denominator, quantum.numerator * scale)
+            out.append((
+                [pieces[i][c] for i, c in enumerate(vector) if c],
+                _reduced(t, scale),
+                None,
+                _reduced(rho, scale),
+                (1, bubbles, rest == 0, None),
+                verdicts(0 < t < budget, o + nu == t, rho > 0 and rho % scale == 0),
+            ))
+        return out
 
 
 # The parts of one configuration's JSON text, as json.dumps(..., indent=2)
@@ -292,21 +402,9 @@ def _indented_json(obj, pad: str) -> str:
     return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
 
 
-@functools.lru_cache(maxsize=512)
-def _singularity_lines(s: SingularityType, count: int) -> str:
-    line = "        " + json.dumps(catalog.format_singularity(s))
-    return ",\n".join([line] * count)
-
-
 @functools.lru_cache(maxsize=256)
-def _bubbles_json_text(bubbles: invariants.BubbleBounds) -> str:
-    return _indented_json(bubbles.to_json(), "      ")
-
-
-@functools.lru_cache(maxsize=512)
-def _notation_piece(s: SingularityType, count: int) -> str:
-    """One ``(type, count)`` item of :func:`catalog.format_counts`."""
-    return catalog.format_counts({s: count})
+def _bubbles_json_text(window: tuple[int, int, bool, Optional[str]]) -> str:
+    return _indented_json(invariants.BubbleBounds(*window).to_json(), "      ")
 
 
 @functools.lru_cache(maxsize=256)
@@ -314,37 +412,46 @@ def _verdicts_json_text(verdicts: tuple[tuple[str, bool], ...]) -> str:
     return _indented_json(dict(verdicts), "      ")
 
 
-def _rational_json_text(q: Optional[Fraction]) -> str:
+def _rational_json_text(q: Optional[tuple[int, int]]) -> str:
     if q is None:
         return "null"
-    return f'{{\n        "num": {q.numerator},\n        "den": {q.denominator}\n      }}'
+    return f'{{\n        "num": {q[0]},\n        "den": {q[1]}\n      }}'
 
 
-def _summary_json_text(report: ConstraintReport) -> str:
-    """``report.summary_json()`` as it sits in :meth:`EnumerationResult.to_json`."""
-    sings = ",\n".join(
-        _singularity_lines(s, c) for s, c in report.config.counts.items()
-    )
+def _rational_text(q: tuple[int, int]) -> str:
+    """:func:`format_rational` of a ``(num, den)`` pair."""
+    return str(q[0]) if q[1] == 1 else f"{q[0]}/{q[1]}"
+
+
+def _config_json_text(row: tuple) -> str:
+    """One writer row as its ``summary_json()`` sits in :meth:`EnumerationResult.to_json`."""
+    pieces, twelve, chi_orb, rho, window, verdicts = row
+    sings = ",\n".join([lines for lines, _ in pieces])
     sings = f"[\n{sings}\n      ]" if sings else "[]"
     return (
         "    {\n"
         f'      "singularities": {sings},\n'
-        f'      "twelve_sum_mu": {_rational_json_text(report.twelve_sum_mu)},\n'
-        f'      "chi_orb_if_chi_known": {_rational_json_text(report.chi_orb)},\n'
-        f'      "derived_picard_rank": {_rational_json_text(report.hrr.picard_rank)},\n'
-        f'      "bubble_bounds": {_bubbles_json_text(report.bubbles)},\n'
-        f'      "verdicts": {_verdicts_json_text(tuple(report.verdicts().items()))}\n'
+        f'      "twelve_sum_mu": {_rational_json_text(twelve)},\n'
+        f'      "chi_orb_if_chi_known": {_rational_json_text(chi_orb)},\n'
+        f'      "derived_picard_rank": {_rational_json_text(rho)},\n'
+        f'      "bubble_bounds": {_bubbles_json_text(window)},\n'
+        f'      "verdicts": {_verdicts_json_text(verdicts)}\n'
         "    }"
     )
 
 
 @dataclass
 class EnumerationResult:
-    """Everything the search found for one degree and mode."""
+    """Everything the search found for one degree and mode.
+
+    A search's ``reports`` are built on access; its writers and
+    :meth:`max_multiplicity` read the search's integers instead.  A result
+    built by hand from a list of reports writes the same text from them.
+    """
 
     degree: int
     mode: str
-    reports: list[ConstraintReport]
+    reports: Sequence[ConstraintReport]
     smooth: ConstraintReport
     rules: DegreeRules  # as resolved by the search, custom rule lists included
 
@@ -354,13 +461,23 @@ class EnumerationResult:
 
     @functools.cached_property
     def _max_multiplicity(self) -> dict[str, int]:
-        # scanned once per result, on first use
+        # found once per result, on first use
         best = {t: 0 for t in self.rules.allowed_types}
-        for report in self.reports:
-            for t, c in report.config.counts.items():
-                if c > best.get(t, 0):
-                    best[t] = c
+        if isinstance(self.reports, _SearchReports):
+            columns = zip(*(row[0] for row in self.reports.rows))
+            best.update(zip(self.rules.allowed_types, map(max, columns)))
+        else:
+            for report in self.reports:
+                for t, c in report.config.counts.items():
+                    if c > best.get(t, 0):
+                        best[t] = c
         return {catalog.format_singularity(t): c for t, c in best.items()}
+
+    @functools.cached_property
+    def _writer_rows(self) -> list[tuple]:
+        if isinstance(self.reports, _SearchReports):
+            return self.reports.writer_rows()
+        return [_report_row(r) for r in self.reports]
 
     def to_json_dict(self) -> dict:
         return {
@@ -371,13 +488,13 @@ class EnumerationResult:
         }
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict(), indent=2)``, written straight from the reports.
+        """``json.dumps(self.to_json_dict(), indent=2)``, written straight from the rows.
 
-        The same bytes, without building the dict and without ``json``'s
+        The same bytes, without building the dict, the reports or ``json``'s
         pure-Python indenting encoder: each configuration fills one fixed
-        template (:func:`_summary_json_text`).
+        template (:func:`_config_json_text`).
         """
-        configs = ",\n".join(map(_summary_json_text, self.reports))
+        configs = ",\n".join(map(_config_json_text, self._writer_rows))
         configs = f"[\n{configs}\n  ]" if configs else "[]"
         return (
             "{\n"
@@ -389,9 +506,10 @@ class EnumerationResult:
         )
 
     def to_text(self) -> str:
+        rows = self._writer_rows
         lines = [
             f"degree {self.degree}, mode {self.mode}: "
-            f"{len(self.reports)} configurations "
+            f"{len(rows)} configurations "
             f"(energy budget 12*sum(mu) < {format_rational(self.rules.budget)})",
             "",
             "max multiplicity per type:",
@@ -402,19 +520,21 @@ class EnumerationResult:
         lines.append("smooth case: 12*sum(mu) = 0, non-degenerating, "
                       f"picard rank {format_rational(self.smooth.hrr.picard_rank)}")
         lines.append("")
-        names = [
-            ", ".join(itertools.starmap(_notation_piece, r.config.counts.items()))
-            for r in self.reports
-        ]
+        names = [", ".join([note for _, note in row[0]]) for row in rows]
         width = max(map(len, names), default=0)
-        for name, r in zip(names, self.reports):
-            rho = format_rational(r.hrr.picard_rank)
-            flag = "" if r.hrr.picard_ok else "  [picard rank not positive integral]"
+        for name, (_, twelve, _, rho, _, verdicts) in zip(names, rows):
+            picard_ok = verdicts[_PICARD_VERDICT][1]
+            flag = "" if picard_ok else "  [picard rank not positive integral]"
             lines.append(
                 f"  {name:<{width}}  12*sum(mu) = "
-                f"{format_rational(r.twelve_sum_mu):>6}  rho = {rho}{flag}"
+                f"{_rational_text(twelve):>6}  rho = {_rational_text(rho)}{flag}"
             )
         return "\n".join(lines)
+
+
+def _counts(table: TypeTable, row: tuple) -> Counter:
+    """The search row's multiset, as ``OrbifoldConfig.counts`` holds it."""
+    return Counter({t: c for t, c in zip(table.types, row[0]) if c})
 
 
 def enumerate_configurations(
@@ -425,19 +545,24 @@ def enumerate_configurations(
     """Enumerate every configuration satisfying the degree's constraints.
 
     One depth-first search over count vectors, in descending lexicographic
-    order; each configuration gets one :func:`check_config` report, kept
-    when every exclusion rule in it passed (always, in ``inequality-only``).
+    order, on the degree's :class:`TypeTable`; a vector is kept when every
+    exclusion rule passes its counts (always, in ``inequality-only``).  The
+    result's reports are built on access; only the smooth case's is built
+    here, by :func:`check_config`.
     """
     _validated_mode(mode)
     rules = rules_for_degree(degree, exclusion_rules)
-    energies, budget = _energy_table(degree)
-    reports = []
-    for vec in _descending_counts(energies, budget):
-        config = OrbifoldConfig.from_counts(degree, rules.allowed_types, vec)
-        report = check_config(config, mode, rules.exclusion_rules)
-        if all(report.exclusions.values()):
-            reports.append(report)
+    table, _ = _degree_table(degree)
+    rows = _search(table)
+    if mode == WITH_EXCLUSIONS and rules.exclusion_rules:
+        rows = [
+            row
+            for row in rows
+            if all(_exclusion_outcomes(rules.exclusion_rules, _counts(table, row)).values())
+        ]
     smooth = check_config(
         OrbifoldConfig(degree=degree, singularities=()), mode, rules.exclusion_rules
     )
-    return EnumerationResult(degree, mode, reports, smooth, rules)
+    return EnumerationResult(
+        degree, mode, _SearchReports(degree, mode, rules, rows), smooth, rules
+    )

@@ -55,9 +55,6 @@ class OrbifoldConfig:
         ordered = tuple(sorted(self.singularities, key=catalog.sort_key))
         object.__setattr__(self, "singularities", ordered)
         object.__setattr__(self, "counts", Counter(ordered))
-        self._validate()
-
-    def _validate(self) -> None:
         if self.degree is not None and not 1 <= self.degree <= 4:
             raise ValueError("Del Pezzo degeneration degree must be in 1..4")
         if self.picard_rank is not None and self.picard_rank < 1:
@@ -70,26 +67,8 @@ class OrbifoldConfig:
         types: Sequence[SingularityType],
         vector: Sequence[int],
     ) -> "OrbifoldConfig":
-        """The configuration with ``vector[i]`` points of type ``types[i]``.
-
-        ``types`` must be distinct and in :func:`catalog.sort_key` order, as
-        each degree's type table is; the multiset is then already sorted, so
-        it is expanded and counted once, with no sort.  The result equals
-        ``OrbifoldConfig(degree, singularities=...)`` of the same multiset.
-        """
-        # the Counter Counter(mapping) builds, filled by dict.update without
-        # Counter.__init__ and Counter.update's Mapping ABC check
-        counts = Counter.__new__(Counter)
-        dict.update(counts, [(t, c) for t, c in zip(types, vector) if c])
-        self = cls.__new__(cls)
-        set_field = object.__setattr__
-        set_field(self, "degree", degree)
-        set_field(self, "singularities", tuple(counts.elements()))
-        set_field(self, "euler_topological", None)
-        set_field(self, "picard_rank", None)
-        set_field(self, "counts", counts)
-        self._validate()
-        return self
+        """The configuration with ``vector[i]`` points of type ``types[i]``."""
+        return cls(degree, tuple(t for t, c in zip(types, vector) for _ in range(c)))
 
     def notation(self) -> str:
         return catalog.format_counts(self.counts)
@@ -172,12 +151,7 @@ class IdentityCheck:
 
     @property
     def holds(self) -> bool:
-        # lhs == rhs, decided on the integers of two lowest-terms rationals
-        # (ints or Fractions); Fraction.__eq__ goes through the numbers ABCs
-        lhs, rhs = self.lhs, self.rhs
-        return lhs is rhs or (
-            lhs.numerator == rhs.numerator and lhs.denominator == rhs.denominator
-        )
+        return self.lhs == self.rhs
 
     def to_json(self) -> dict:
         return {
@@ -260,10 +234,23 @@ class HrrMilnorReport:
         return rho.denominator == 1 and rho.numerator >= 1 and self.picard_noether.holds
 
 
-@functools.cache
-def _picard_target(degree: int) -> Fraction:
-    """10 - d, the Picard rank of a smooth degree-d Del Pezzo, built once per degree."""
-    return Fraction(10 - degree)
+class TypeTable:
+    """Distinct types in :func:`catalog.sort_key` order, with ledger rows over one ``L``.
+
+    ``L = scale`` is the lcm of the types' :func:`catalog.ledger_row`
+    denominators and ``rows[i] = (o, nu, t)`` is ``types[i]``'s row
+    ``(1 - 1/n, nu, 12*mu(K^-1))`` times ``L``.  At degree ``d``, ``budget =
+    (12 - d)*L`` and ``picard_target = (10 - d)*L``.  Ledger sums over these
+    types are then integer dot products, and bounds and ranks integers.
+    """
+
+    def __init__(self, types: Sequence[SingularityType], degree: int):
+        rows = [catalog.ledger_row(s) for s in types]
+        self.types = tuple(types)
+        self.scale = scale = math.lcm(*(row[0] for row in rows))
+        self.rows = [tuple(n * (scale // row[0]) for n in row[1:]) for row in rows]
+        self.budget = (12 - degree) * scale
+        self.picard_target = (10 - degree) * scale
 
 
 def hrr_milnor_check(config: OrbifoldConfig) -> HrrMilnorReport:
@@ -275,40 +262,32 @@ def hrr_milnor_check(config: OrbifoldConfig) -> HrrMilnorReport:
     When the Picard rank is not supplied it is solved for from the second
     identity, and the report says whether the solution is a positive
     integer (a necessary condition for the configuration to be realized).
-    The three sums are integer dot products: each distinct type's cached
-    row, put over the configuration's common denominator L by
-    :func:`catalog.scaled_ledger_rows`, weighted by its count.  Only 12*sum mu
-    and rho are new Fractions: ``10 - d`` is built once per degree, and a
-    side whose integer sum equals the other side's is that same object.
+    The three sums are integer dot products over a one-off
+    :class:`TypeTable` of the configuration's distinct types.
     """
     if config.degree is None:
         raise ValueError("hrr_milnor_check needs the degeneration degree")
     counts = config.counts
-    scale, rows = catalog.scaled_ledger_rows(tuple(counts))
+    table = TypeTable(tuple(counts), config.degree)
+    scale = table.scale
     sum_one_minus = sum_milnor = twelve_mu = 0
-    for count, (one_minus, nu, twelve) in zip(counts.values(), rows):
+    for count, (one_minus, nu, twelve) in zip(counts.values(), table.rows):
         sum_one_minus += count * one_minus
         sum_milnor += count * nu
         twelve_mu += count * twelve
     twelve_sum_mu = Fraction(twelve_mu, scale)
-    ledger = sum_one_minus + sum_milnor
     first = IdentityCheck(
-        "milnor_ledger",
-        twelve_sum_mu if ledger == twelve_mu else Fraction(ledger, scale),
-        twelve_sum_mu,
+        "milnor_ledger", Fraction(sum_one_minus + sum_milnor, scale), twelve_sum_mu
     )
-    target = _picard_target(config.degree)
-    target_units = (10 - config.degree) * scale
     provided = config.picard_rank is not None
     if provided:
         rho = config.picard_rank * scale
     else:
-        rho = target_units - twelve_mu + sum_one_minus
-    noether = rho + twelve_mu - sum_one_minus
+        rho = table.picard_target - twelve_mu + sum_one_minus
     second = IdentityCheck(
         "picard_noether",
-        target if noether == target_units else Fraction(noether, scale),
-        target,
+        Fraction(rho + twelve_mu - sum_one_minus, scale),
+        Fraction(10 - config.degree),
     )
     return HrrMilnorReport(first, second, Fraction(rho, scale), provided, twelve_sum_mu)
 
@@ -329,11 +308,7 @@ class ConstraintReport:
 
     @property
     def budget_ok(self) -> bool:
-        # 0 < twelve_sum_mu < budget, cross-multiplied over positive denominators
-        t, budget = self.twelve_sum_mu, self.budget
-        return 0 < t.numerator and (
-            t.numerator * budget.denominator < budget.numerator * t.denominator
-        )
+        return 0 < self.twelve_sum_mu < self.budget
 
     @property
     def is_smooth(self) -> bool:
@@ -342,38 +317,34 @@ class ConstraintReport:
     @property
     def admissible(self) -> bool:
         """Budget satisfied, integral positive Picard rank, no exclusion hit."""
-        return self._admissible(self.budget_ok, self.hrr.picard_ok)
-
-    def _admissible(self, budget_ok: bool, picard_ok: bool) -> bool:
         # the Milnor ledger is reported, not required
         return (
-            budget_ok
-            and picard_ok
+            self.budget_ok
+            and self.hrr.picard_ok
             and self.allowed_types_ok
             and all(self.exclusions.values())
             and (self.chi_limit_check is None or self.chi_limit_check.holds)
         )
 
     def verdicts(self) -> dict:
-        budget_ok, picard_ok = self.budget_ok, self.hrr.picard_ok
         out = {
-            "budget_ok": budget_ok,
+            "budget_ok": self.budget_ok,
             "milnor_ledger_holds": self.hrr.milnor_ledger.holds,
-            "picard_rank_is_positive_integer": picard_ok,
+            "picard_rank_is_positive_integer": self.hrr.picard_ok,
             "types_allowed_for_degree": self.allowed_types_ok,
         }
         if self.chi_limit_check is not None:
             out["chi_limit_matches_degree"] = self.chi_limit_check.holds
         for name, passed in self.exclusions.items():
             out[f"exclusion:{name}"] = passed
-        out["admissible"] = self._admissible(budget_ok, picard_ok)
+        out["admissible"] = self.admissible
         return out
 
     def summary_json(self) -> dict:
         """The keys one configuration carries in an enumeration's JSON.
 
         ``EnumerationResult.to_json`` writes the same as text, without this
-        dict (``enumerator._summary_json_text``); a change here goes there too.
+        dict (``enumerator._config_json_text``); a change here goes there too.
         """
         return {
             "singularities": [

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -6,6 +7,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbcalc import enumerator
 from orbcalc.catalog import (
@@ -35,6 +38,7 @@ D = lambda k: ADE("D", k)
 Q = CyclicQuotient
 
 
+@functools.cache
 def brute_force_multisets(degree):
     """Reference enumeration: filter the full bounded multiplicity box.
 
@@ -42,6 +46,7 @@ def brute_force_multisets(degree):
     floor(budget / 12mu).  The degree-1 box has ~2*10^7 corners, so the
     box is split in half and the halves are joined on the energy bound;
     the search space is identical, only the iteration order differs.
+    Cached, as a frozenset, because several tests compare against it.
     """
     rules = rules_for_degree(degree)
     energies = [12 * mu_anticanonical(t) for t in rules.allowed_types]
@@ -70,7 +75,7 @@ def brute_force_multisets(degree):
         for right_combo, right_energy in right[:cutoff]:
             if left_energy + right_energy > 0:
                 found.add(left_combo + right_combo)
-    return found
+    return frozenset(found)
 
 
 @pytest.mark.parametrize("degree", [4, 3, 2, 1])
@@ -108,9 +113,12 @@ def test_reports_come_in_descending_count_vector_order():
 def test_energy_table_is_exact_integer_scaling():
     # L, the lcm of the degree's ledger-row denominators
     for degree, scale in ((1, 2520), (2, 60), (3, 6), (4, 2)):
-        energies, budget = enumerator._energy_table(degree)
-        assert budget == (12 - degree) * scale
+        table, _ = enumerator._degree_table(degree)
+        energies = [twelve for _, _, twelve in table.rows]
+        assert table.scale == scale
+        assert table.budget == (12 - degree) * scale
         types = rules_for_degree(degree).allowed_types
+        assert table.types == types
         assert [Fraction(e, scale) for e in energies] == [
             12 * mu_anticanonical(t) for t in types
         ]
@@ -120,7 +128,7 @@ def test_energy_table_is_exact_integer_scaling():
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_from_counts_equals_public_constructor(degree):
     types = rules_for_degree(degree).allowed_types
-    vectors = enumerator._descending_counts(*enumerator._energy_table(degree))
+    vectors = [row[0] for row in enumerator._search(enumerator._degree_table(degree)[0])]
     rng = random.Random(degree)
     for vec in vectors:
         multiset = [t for t, c in zip(types, vec) for _ in range(c)]
@@ -393,3 +401,91 @@ def test_to_json_writes_every_field_a_report_can_carry():
         1, WITH_EXCLUSIONS, [negative, known_chi, smooth], smooth, rules_for_degree(1)
     )
     assert_writer_matches_dict(result)
+
+
+def test_search_and_writers_build_only_the_smooth_report(monkeypatch):
+    calls = []
+
+    def counting_check_config(*args, **kwargs):
+        calls.append(args[0])
+        return check_config(*args, **kwargs)
+
+    monkeypatch.setattr(enumerator, "check_config", counting_check_config)
+    for degree in (1, 2, 3, 4):
+        for mode in MODES:
+            calls.clear()
+            result = enumerate_configurations(degree, mode)
+            result.to_json()
+            result.to_text()
+            assert len(result.reports) > 0
+            assert calls == [OrbifoldConfig(degree=degree, singularities=())]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_reports_on_demand_equal_the_check_config_list(degree, mode):
+    # the reports a search stands for, built one by one over the brute-force
+    # oracle's vectors in the search's order
+    types = rules_for_degree(degree).allowed_types
+    expected = []
+    for vec in sorted(brute_force_multisets(degree), reverse=True):
+        report = check_config(OrbifoldConfig.from_counts(degree, types, vec), mode)
+        if all(report.exclusions.values()):
+            expected.append(report)
+    result = enumerate_configurations(degree, mode)
+    assert len(result.reports) == len(expected)
+    assert list(result.reports) == expected
+    assert result.reports == expected
+    assert result.reports[0] == expected[0] and result.reports[-1] == expected[-1]
+    assert result.reports[1:4] == expected[1:4]
+    assert result.reports[0] is result.reports[0]
+    with pytest.raises(IndexError):
+        result.reports[len(expected)]
+    # the rows the writers derive from integers equal the ones read off reports
+    by_hand = EnumerationResult(degree, mode, expected, result.smooth, result.rules)
+    assert by_hand.to_json() == result.to_json()
+    assert by_hand.to_text() == result.to_text()
+    assert by_hand.max_multiplicity() == result.max_multiplicity()
+
+
+@st.composite
+def _rule_lists(draw):
+    degree = draw(st.integers(1, 4))
+    types = rules_for_degree(degree).allowed_types
+    specs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", 'q"\\', "\u00e9"]),  # repeats share a name
+                st.integers(0, len(types) - 1),
+                st.integers(0, 3),
+                st.booleans(),
+            ),
+            max_size=4,
+        )
+    )
+    rules = [
+        ExclusionRule(
+            name, degree, "", lambda counts, t=types[i], k=k, at_most=at_most:
+            (counts.get(t, 0) <= k) == at_most
+        )
+        for name, i, k, at_most in specs
+    ]
+    return degree, rules
+
+
+@settings(max_examples=20, deadline=None)
+@given(_rule_lists())
+# the later of two same-named rules decides, as in check_config's dict
+@example((2, [ExclusionRule("a", 2, "", lambda c, ok=ok: ok) for ok in (False, True)]))
+def test_random_exclusion_rules_keep_the_writer_equal_to_the_dict(case):
+    degree, rules = case
+    result = enumerate_configurations(degree, WITH_EXCLUSIONS, exclusion_rules=rules)
+    assert_writer_matches_dict(result)
+    types = rules_for_degree(degree).allowed_types
+    kept = []
+    for vec in sorted(brute_force_multisets(degree), reverse=True):
+        config = OrbifoldConfig.from_counts(degree, types, vec)
+        # a later rule of the same name overrides an earlier one, as in check_config
+        if all({r.name: r.predicate(config.counts) for r in rules}.values()):
+            kept.append(config)
+    assert [r.config for r in result.reports] == kept
