@@ -21,7 +21,6 @@ units (6*pi^2), which is the quantum used for bubble counting.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
