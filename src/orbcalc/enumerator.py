@@ -461,7 +461,7 @@ class EnumerationResult:
 
     @functools.cached_property
     def _max_multiplicity(self) -> dict[str, int]:
-        # found once per result, on first use
+        # scanned once per result, on first use
         best = {t: 0 for t in self.rules.allowed_types}
         if isinstance(self.reports, _SearchReports):
             columns = zip(*(row[0] for row in self.reports.rows))

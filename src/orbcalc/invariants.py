@@ -17,6 +17,14 @@ the limit Euler number of a degenerating family satisfies
 and a smooth degree-d Del Pezzo has chi = 12 - d and Picard rank 10 - d.
 The minimum curvature energy of a Ricci-flat ALE bubble is 3/4 in these
 units (6*pi^2), which is the quantum used for bubble counting.
+
+The Milnor ledger and the Picard identity are summed in integers: a
+:class:`TypeTable` puts a set of types' ledger rows, the budget 12 - d and
+the Picard target 10 - d over one common denominator.  One
+:class:`ConstraintReport`, with every identity's two sides as Fractions,
+is built per configuration that ``check`` asks about or that a reader of
+an enumeration's ``reports`` touches; the enumerator's search and writers
+work on the integers alone.
 """
 
 from __future__ import annotations
