@@ -485,7 +485,6 @@ def test_random_exclusion_rules_keep_the_writer_equal_to_the_dict(case):
     kept = []
     for vec in sorted(brute_force_multisets(degree), reverse=True):
         config = OrbifoldConfig.from_counts(degree, types, vec)
-        # a later rule of the same name overrides an earlier one, as in check_config
         if all({r.name: r.predicate(config.counts) for r in rules}.values()):
             kept.append(config)
     assert [r.config for r in result.reports] == kept
