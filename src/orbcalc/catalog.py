@@ -56,7 +56,7 @@ class NotTabulatedError(LookupError):
 
 
 class SingularityParseError(ValueError):
-    """Malformed singularity notation; carries the offending token and byte offset."""
+    """Malformed singularity notation; carries the offending token and UTF-8 byte offset."""
 
     def __init__(self, token: str, offset: int):
         self.token = token
@@ -218,29 +218,38 @@ def parse_singularity(text: str, offset: int = 0) -> SingularityType:
     raise SingularityParseError(text.strip(), offset)
 
 
+def _utf8_len(text: str) -> int:
+    # undecodable argv bytes arrive as U+DC80..U+DCFF and count one byte each
+    return len(text.encode("utf-8", "surrogateescape"))
+
+
 def _split_top_level(text: str) -> list[tuple[str, int]]:
-    # split on commas outside parentheses, keeping each piece's byte offset
+    # split on commas outside parentheses, keeping the UTF-8 byte offset of
+    # each piece's first non-blank character
+
+    def piece(segment: str, start: int) -> tuple[str, int]:
+        return segment, start + _utf8_len(segment) - _utf8_len(segment.lstrip())
 
     def unbalanced(segment: str, start: int) -> SingularityParseError:
-        pad = len(segment) - len(segment.lstrip())
-        return SingularityParseError(segment.strip(), start + pad)
+        return SingularityParseError(segment.strip(), piece(segment, start)[1])
 
     items: list[tuple[str, int]] = []
     depth = 0
-    start = 0
+    start = start_byte = 0
     for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise unbalanced(text[start : i + 1], start)
+                raise unbalanced(text[start : i + 1], start_byte)
         elif ch == "," and depth == 0:
-            items.append((text[start:i], start))
+            items.append(piece(text[start:i], start_byte))
+            start_byte += _utf8_len(text[start:i]) + 1
             start = i + 1
     if depth != 0:
-        raise unbalanced(text[start:], start)
-    items.append((text[start:], start))
+        raise unbalanced(text[start:], start_byte)
+    items.append(piece(text[start:], start_byte))
     return items
 
 
@@ -257,11 +266,12 @@ def parse_singularity_list(text: str) -> tuple[SingularityType, ...]:
         item = "".join(raw.split())
         if not item:
             continue
-        offset += len(raw) - len(raw.lstrip())
         count = 1
         m = _MULT_RE.match(item)
         if m:
-            count = int(m.group(1))
+            digits = m.group(1).lstrip("0") or "0"
+            # more digits than MAX_POINTS is more points, and may be too many for int()
+            count = int(digits) if len(digits) <= len(str(MAX_POINTS)) else MAX_POINTS + 1
             rest = m.group(2)
             if count < 1 or not rest:
                 raise SingularityParseError(raw.strip(), offset)

@@ -300,10 +300,13 @@ def _degree_table(degree: int) -> tuple[TypeTable, list[list[tuple[str, str]]]]:
     return table, pieces
 
 
-# A writer row is what one configuration prints, already decided:
-#   (pieces, twelve_sum_mu, chi_orb or None, picard rank, bubble window, verdicts)
-# with rationals as lowest-terms (num, den) pairs, the window as BubbleBounds'
-# fields and verdicts as ConstraintReport.verdicts() items.
+# A writer row is what one configuration of a search prints, already decided:
+#   (pieces, twelve_sum_mu, picard rank, bubble window, verdicts)
+# with rationals as lowest-terms (num, den) pairs, the window as its
+# (max, exact_fit) and verdicts as ConstraintReport.verdicts() items.  A search
+# never knows chi, so chi_orb is always null; it keeps only 12*sum(mu) > 0, so
+# no configuration is empty; and every allowed type carries at least one bubble
+# quantum, so a window's min is 1 and it has no violation.
 
 _PICARD_VERDICT = 2  # "picard_rank_is_positive_integer", third in every verdict list
 
@@ -311,18 +314,6 @@ _PICARD_VERDICT = 2  # "picard_rank_is_positive_integer", third in every verdict
 def _reduced(num: int, den: int) -> tuple[int, int]:
     g = math.gcd(num, den)
     return num // g, den // g
-
-
-def _report_row(report: ConstraintReport) -> tuple:
-    b, chi_orb = report.bubbles, report.chi_orb
-    return (
-        [_piece(s, c) for s, c in report.config.counts.items()],
-        (report.twelve_sum_mu.numerator, report.twelve_sum_mu.denominator),
-        None if chi_orb is None else (chi_orb.numerator, chi_orb.denominator),
-        (report.hrr.picard_rank.numerator, report.hrr.picard_rank.denominator),
-        (b.min_count, b.max_count, b.exact_fit, b.violation),
-        tuple(report.verdicts().items()),
-    )
 
 
 class _SearchReports(Sequence):
@@ -357,8 +348,7 @@ class _SearchReports(Sequence):
         """Each row's writer row, decided on its integers ``(o, nu, t)`` over ``L``.
 
         ``12*sum(mu) = t/L`` and the derived Picard rank is ``(picard_target -
-        t + o)/L``.  No window has a violation: every allowed type carries at
-        least one quantum.  Every row kept passed each exclusion rule.
+        t + o)/L``.  Every row kept passed each exclusion rule.
         """
         table, pieces = _degree_table(self.degree)
         scale, budget, target = table.scale, table.budget, table.picard_target
@@ -384,17 +374,16 @@ class _SearchReports(Sequence):
             out.append((
                 [pieces[i][c] for i, c in enumerate(vector) if c],
                 _reduced(t, scale),
-                None,
                 _reduced(rho, scale),
-                (1, bubbles, rest == 0, None),
+                (bubbles, rest == 0),
                 verdicts(0 < t < budget, o + nu == t, rho > 0 and rho % scale == 0),
             ))
         return out
 
 
 # The parts of one configuration's JSON text, as json.dumps(..., indent=2)
-# lays them out inside an enumeration.  The caches are keyed by small values
-# that recur across configurations, never by a whole configuration.
+# lays them out inside an enumeration.  The verdicts' cache is keyed by a small
+# value that recurs across configurations, never by a whole configuration.
 
 
 def _indented_json(obj, pad: str) -> str:
@@ -403,18 +392,11 @@ def _indented_json(obj, pad: str) -> str:
 
 
 @functools.lru_cache(maxsize=256)
-def _bubbles_json_text(window: tuple[int, int, bool, Optional[str]]) -> str:
-    return _indented_json(invariants.BubbleBounds(*window).to_json(), "      ")
-
-
-@functools.lru_cache(maxsize=256)
 def _verdicts_json_text(verdicts: tuple[tuple[str, bool], ...]) -> str:
     return _indented_json(dict(verdicts), "      ")
 
 
-def _rational_json_text(q: Optional[tuple[int, int]]) -> str:
-    if q is None:
-        return "null"
+def _rational_json_text(q: tuple[int, int]) -> str:
     return f'{{\n        "num": {q[0]},\n        "den": {q[1]}\n      }}'
 
 
@@ -425,16 +407,19 @@ def _rational_text(q: tuple[int, int]) -> str:
 
 def _config_json_text(row: tuple) -> str:
     """One writer row as its ``summary_json()`` sits in :meth:`EnumerationResult.to_json`."""
-    pieces, twelve, chi_orb, rho, window, verdicts = row
+    pieces, twelve, rho, (most, exact_fit), verdicts = row
     sings = ",\n".join([lines for lines, _ in pieces])
-    sings = f"[\n{sings}\n      ]" if sings else "[]"
     return (
         "    {\n"
-        f'      "singularities": {sings},\n'
+        f'      "singularities": [\n{sings}\n      ],\n'
         f'      "twelve_sum_mu": {_rational_json_text(twelve)},\n'
-        f'      "chi_orb_if_chi_known": {_rational_json_text(chi_orb)},\n'
+        '      "chi_orb_if_chi_known": null,\n'
         f'      "derived_picard_rank": {_rational_json_text(rho)},\n'
-        f'      "bubble_bounds": {_bubbles_json_text(window)},\n'
+        '      "bubble_bounds": {\n'
+        '        "min": 1,\n'
+        f'        "max": {most},\n'
+        f'        "exact_fit": {"true" if exact_fit else "false"}\n'
+        "      },\n"
         f'      "verdicts": {_verdicts_json_text(verdicts)}\n'
         "    }"
     )
@@ -444,14 +429,14 @@ def _config_json_text(row: tuple) -> str:
 class EnumerationResult:
     """Everything the search found for one degree and mode.
 
-    A search's ``reports`` are built on access; its writers and
-    :meth:`max_multiplicity` read the search's integers instead.  A result
-    built by hand from a list of reports writes the same text from them.
+    Built by :func:`enumerate_configurations`.  ``reports`` are built on
+    access; the writers and :meth:`max_multiplicity` read the search's
+    integers instead.
     """
 
     degree: int
     mode: str
-    reports: Sequence[ConstraintReport]
+    reports: _SearchReports
     smooth: ConstraintReport
     rules: DegreeRules  # as resolved by the search, custom rule lists included
 
@@ -463,21 +448,13 @@ class EnumerationResult:
     def _max_multiplicity(self) -> dict[str, int]:
         # scanned once per result, on first use
         best = {t: 0 for t in self.rules.allowed_types}
-        if isinstance(self.reports, _SearchReports):
-            columns = zip(*(row[0] for row in self.reports.rows))
-            best.update(zip(self.rules.allowed_types, map(max, columns)))
-        else:
-            for report in self.reports:
-                for t, c in report.config.counts.items():
-                    if c > best.get(t, 0):
-                        best[t] = c
+        columns = zip(*(row[0] for row in self.reports.rows))
+        best.update(zip(self.rules.allowed_types, map(max, columns)))
         return {catalog.format_singularity(t): c for t, c in best.items()}
 
     @functools.cached_property
     def _writer_rows(self) -> list[tuple]:
-        if isinstance(self.reports, _SearchReports):
-            return self.reports.writer_rows()
-        return [_report_row(r) for r in self.reports]
+        return self.reports.writer_rows()
 
     def to_json_dict(self) -> dict:
         return {
@@ -522,7 +499,7 @@ class EnumerationResult:
         lines.append("")
         names = [", ".join([note for _, note in row[0]]) for row in rows]
         width = max(map(len, names), default=0)
-        for name, (_, twelve, _, rho, _, verdicts) in zip(names, rows):
+        for name, (_, twelve, rho, _, verdicts) in zip(names, rows):
             picard_ok = verdicts[_PICARD_VERDICT][1]
             flag = "" if picard_ok else "  [picard rank not positive integral]"
             lines.append(

@@ -34,6 +34,9 @@ CASES = (
     ("exponent literal", ["bubbles", "--total", "1e5"]),
     ("unwritable --out", ["bubbles", "--total", "3/2", "--out", "missing-dir/out.txt"]),
     ("negative energy verdict", ["check", "--degree", "1", "--sings", "1/5(1,2)"]),
+    ("count prefix of 4301 digits",
+     ["check", "--degree", "1", "--sings", "9" * 4301 + "x A1"]),
+    ("non-ASCII byte offset", ["check", "--degree", "1", "--sings", "A1,\u3000B3"]),
 )
 
 

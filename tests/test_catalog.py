@@ -141,6 +141,10 @@ def test_parse_errors_carry_token_and_offset():
     with pytest.raises(SingularityParseError) as info:
         parse_singularity_list("A1, 1/4(1,1")
     assert info.value.offset == 4
+    with pytest.raises(SingularityParseError) as info:
+        parse_singularity_list("A1,\u3000B3")  # an ideographic space is 3 bytes
+    assert info.value.token == "B3"
+    assert info.value.offset == 6
     with pytest.raises(SingularityParseError):
         parse_singularity_list("A1))")
     with pytest.raises(SingularityParseError):
@@ -155,10 +159,12 @@ def test_parse_errors_carry_token_and_offset():
 
 def test_parse_list_caps_the_number_of_points():
     assert parse_singularity_list("1000x A1") == (A(1),) * 1000
-    for text in ("1001x A1", "600x A1, 600x A2"):
+    assert parse_singularity_list("0001x A1") == (A(1),)
+    # a 4301-digit count is longer than int() converts by default
+    for text in ("1001x A1", "600x A1, 600x A2", "9" * 50 + "x A1", "9" * 4301 + "x A1"):
         with pytest.raises(ValueError) as info:
             parse_singularity_list(text)
-        assert not isinstance(info.value, SingularityParseError)
+        assert str(info.value) == "singularity list names more than 1000 points"
 
 
 def test_format_round_trip():

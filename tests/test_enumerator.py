@@ -1,7 +1,9 @@
 import functools
+import gc
 import itertools
 import json
 import random
+import weakref
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
@@ -15,6 +17,7 @@ from orbcalc.catalog import (
     ADE,
     CyclicQuotient,
     NotTabulatedError,
+    format_singularity,
     format_singularity_list,
     mu_anticanonical,
     sort_key,
@@ -24,7 +27,6 @@ from orbcalc.enumerator import (
     INEQUALITY_ONLY,
     MODES,
     WITH_EXCLUSIONS,
-    EnumerationResult,
     ExclusionRule,
     check_config,
     check_pair_rule,
@@ -377,30 +379,40 @@ def test_to_json_with_no_surviving_configuration():
     assert result.reports == []
     assert '"configurations": [],' in result.to_json()
     assert_writer_matches_dict(result)
+    assert result.to_text().startswith("degree 3, mode with-exclusions: 0 configurations ")
+    assert result.max_multiplicity() == {"A1": 0, "A2": 0}
 
 
-def test_to_json_writes_every_field_a_report_can_carry():
-    # a search never builds a bubble violation: every allowed type carries at
-    # least one quantum of energy, so every non-empty configuration does too
+def test_every_search_report_fits_the_writer_row():
+    # the writer row has no chi slot, no bubble violation, min 1 and no empty
+    # list: a search never knows chi, and every allowed type carries at least
+    # one quantum of energy, so every non-empty configuration does too
     for degree in (1, 2, 3, 4):
         for t in rules_for_degree(degree).allowed_types:
             assert 12 * mu_anticanonical(t) >= MIN_BUBBLE_ENERGY_UNITS
-    # so reports the search cannot produce are put in by hand: a violation,
-    # a known chi (chi_orb and a chi_limit verdict) and no singularities
-    negative = check_config(
-        OrbifoldConfig(degree=1, singularities=(Q(5, 1, 2),), euler_topological=3)
-    )
-    assert negative.bubbles.violation == "negative total energy"
-    known_chi = check_config(
-        OrbifoldConfig(
-            degree=1, singularities=(A(8), Q(9, 1, 2), Q(9, 1, 2)), euler_topological=3
-        )
-    )
-    smooth = check_config(OrbifoldConfig(degree=1, singularities=()))
-    result = EnumerationResult(
-        1, WITH_EXCLUSIONS, [negative, known_chi, smooth], smooth, rules_for_degree(1)
-    )
-    assert_writer_matches_dict(result)
+        for report in enumerate_configurations(degree, INEQUALITY_ONLY).reports:
+            assert report.config.singularities and report.chi_orb is None
+            assert report.bubbles.min_count == 1 and report.bubbles.violation is None
+
+
+def test_a_result_is_freed_by_refcount_once_read():
+    # a reference cycle through the result (result -> reports -> result) would
+    # keep it and every report it built alive until the cyclic collector runs
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = enumerate_configurations(2, WITH_EXCLUSIONS)
+        len(result.reports)
+        result.reports[0]
+        result.to_json()
+        result.to_text()
+        result.max_multiplicity()
+        freed = weakref.ref(result)
+        del result
+        assert freed() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_search_and_writers_build_only_the_smooth_report(monkeypatch):
@@ -441,11 +453,11 @@ def test_reports_on_demand_equal_the_check_config_list(degree, mode):
     assert result.reports[0] is result.reports[0]
     with pytest.raises(IndexError):
         result.reports[len(expected)]
-    # the rows the writers derive from integers equal the ones read off reports
-    by_hand = EnumerationResult(degree, mode, expected, result.smooth, result.rules)
-    assert by_hand.to_json() == result.to_json()
-    assert by_hand.to_text() == result.to_text()
-    assert by_hand.max_multiplicity() == result.max_multiplicity()
+    # the column scan over the search's vectors equals a scan of the reports
+    assert result.max_multiplicity() == {
+        format_singularity(t): max((r.config.counts[t] for r in expected), default=0)
+        for t in types
+    }
 
 
 @st.composite
