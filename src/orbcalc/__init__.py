@@ -13,9 +13,8 @@ The package computes, in exact rational arithmetic throughout:
   energy budget 0 < 12*sum(mu) < 12 - d (:mod:`orbcalc.enumerator`).
 
 The ``orbcalc`` command line exposes all of it (:mod:`orbcalc.cli`).
-Exact Q(zeta_r) arithmetic, an independent oracle for the Dedekind sums
-that only the tests use, lives in :mod:`orbcalc.cyclotomic`; importing
-the package does not load it.
+No module here builds field arithmetic: the exact Q(zeta_r) oracle that
+checks the Dedekind sums is test code (``tests/cyclotomic_oracle.py``).
 """
 
 from .catalog import (

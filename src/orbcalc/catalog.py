@@ -49,6 +49,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .dedekind import sigma
+from .rationals import MAX_DIGITS
 
 
 class NotTabulatedError(LookupError):
@@ -198,13 +199,18 @@ def format_singularity(s: SingularityType) -> str:
 #: degree's energy budget has at most 14
 MAX_POINTS = 1000
 
-_ADE_RE = re.compile(r"^([ADE])(\d+)$")
-_CYCLIC_RE = re.compile(r"^1/(\d+)\((-?\d+),(-?\d+)\)$")
+_NUMBER = rf"\d{{1,{MAX_DIGITS}}}"
+_ADE_RE = re.compile(rf"^([ADE])({_NUMBER})$")
+_CYCLIC_RE = re.compile(rf"^1/({_NUMBER})\((-?{_NUMBER}),(-?{_NUMBER})\)$")
 _MULT_RE = re.compile(r"^(\d+)[xX](.*)$")
 
 
 def parse_singularity(text: str, offset: int = 0) -> SingularityType:
-    """Parse one type: ``"A3"``, ``"D4"``, ``"E7"`` or ``"1/8(1,3)"``."""
+    """Parse one type: ``"A3"``, ``"D4"``, ``"E7"`` or ``"1/8(1,3)"``.
+
+    A number of more than :data:`~orbcalc.rationals.MAX_DIGITS` digits does
+    not parse.
+    """
     token = "".join(text.split())
     m = _ADE_RE.match(token)
     try:

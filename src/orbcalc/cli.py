@@ -36,17 +36,27 @@ from .catalog import (
     parse_singularity_list,
 )
 from .invariants import OrbifoldConfig
-from .rationals import format_rational, parse_rational, rational_to_json
+from .rationals import MAX_DIGITS, format_rational, parse_rational, rational_to_json
 
 
 class OutputError(Exception):
     """The --out path cannot be opened or written."""
 
 
+def _parse_int(text: str) -> int:
+    """argparse's ``type=int``, also refusing a literal over :data:`MAX_DIGITS` characters."""
+    try:
+        if len(text) > MAX_DIGITS:
+            raise ValueError(text)
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
+        return tuple(_parse_int(part) for part in text.split(","))
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
@@ -426,11 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dedekind", help="Dedekind sum sigma_i(1/r(b1,...,bm))")
-    p.add_argument("--r", type=int, required=True, help="order of the cyclic group")
+    p.add_argument("--r", type=_parse_int, required=True, help="order of the cyclic group")
     p.add_argument(
         "--weights", type=_parse_int_list, required=True, help="comma-separated weights"
     )
-    p.add_argument("--index", type=int, default=0, help="exponent i in epsilon^i")
+    p.add_argument("--index", type=_parse_int, default=0, help="exponent i in epsilon^i")
     p.add_argument(
         "--oracle",
         action="store_true",
@@ -451,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_mu)
 
     p = sub.add_parser("chi-orb", help="orbifold Euler number from chi and singularities")
-    p.add_argument("--chi", type=int, required=True, help="topological Euler number")
+    p.add_argument("--chi", type=_parse_int, required=True, help="topological Euler number")
     p.add_argument(
         "--sings", default="", help='singularity list, e.g. "A8, 2x 1/9(1,2)"'
     )
@@ -462,31 +472,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--weights", type=_parse_int_list, required=True, help="weights a0,a1,a2"
     )
-    p.add_argument("--degree", type=int, required=True, help="degree of the curve")
+    p.add_argument("--degree", type=_parse_int, required=True, help="degree of the curve")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_genus)
 
     p = sub.add_parser("double-cover", help="Euler number of a branched double cover")
-    p.add_argument("--chi-base", type=int, required=True)
-    p.add_argument("--chi-branch", type=int, required=True)
+    p.add_argument("--chi-base", type=_parse_int, required=True)
+    p.add_argument("--chi-branch", type=_parse_int, required=True)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_double_cover)
 
     p = sub.add_parser("check", help="full admissibility report for one configuration")
-    p.add_argument("--degree", type=int, required=True, help="Del Pezzo degree 1..4")
+    p.add_argument("--degree", type=_parse_int, required=True, help="Del Pezzo degree 1..4")
     p.add_argument("--sings", default="", help="singularity list")
-    p.add_argument("--chi", type=int, help="topological Euler number, if known")
-    p.add_argument("--picard", type=int, help="Picard rank, if known")
+    p.add_argument("--chi", type=_parse_int, help="topological Euler number, if known")
+    p.add_argument("--picard", type=_parse_int, help="Picard rank, if known")
     p.add_argument("--mode", choices=enumerator.MODES, default=enumerator.WITH_EXCLUSIONS)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("enumerate", help="all configurations passing the energy budget")
-    p.add_argument("--degree", type=int, required=True, help="Del Pezzo degree 1..4")
+    p.add_argument("--degree", type=_parse_int, required=True, help="Del Pezzo degree 1..4")
     p.add_argument("--mode", choices=enumerator.MODES, default=enumerator.WITH_EXCLUSIONS)
     p.add_argument(
         "--workers",
-        type=int,
+        type=_parse_int,
         help="accepted for compatibility and ignored: the search is serial",
     )
     _add_output_flags(p)

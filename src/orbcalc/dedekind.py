@@ -38,10 +38,9 @@ conditions enforce them at their own layer.
 
 Two independent routes serve as oracles and nothing else:
 :func:`dedekind_sum_float_oracle` runs the root sum in complex doubles
-(``orbcalc dedekind --oracle``), and
-:func:`orbcalc.cyclotomic.dedekind_sum_cyclotomic` runs it exactly in
-Q(zeta_r) for the tests.  That module imports this one, never the other
-way, so production code does not load the field arithmetic.
+(``orbcalc dedekind --oracle``), and the test suite's
+``tests/cyclotomic_oracle.py`` runs it exactly in Q(zeta_r); the package
+does not ship it.
 """
 
 from __future__ import annotations
@@ -138,14 +137,6 @@ def sigma(r: int, weights: tuple[int, ...] | list[int], index: int) -> Fraction:
     return dedekind_sum(DedekindInput(r, tuple(weights), index))
 
 
-def _admissible_roots(inp: DedekindInput) -> list[int]:
-    return [
-        j
-        for j in range(inp.r)
-        if all((j * b) % inp.r for b in inp.weights)
-    ]
-
-
 def dedekind_sum_float_oracle(inp: DedekindInput) -> float:
     """The same sum in complex double precision at zeta = exp(2*pi*i/r).
 
@@ -158,7 +149,7 @@ def dedekind_sum_float_oracle(inp: DedekindInput) -> float:
             f"float oracle limited to r <= {FLOAT_ORACLE_MAX_ORDER} (got r={inp.r})"
         )
     r = inp.r
-    roots = _admissible_roots(inp)
+    roots = [j for j in range(r) if all(j * b % r for b in inp.weights)]
     if not roots:
         return 0.0
     total = 0j

@@ -13,6 +13,12 @@ from fractions import Fraction
 
 Rational = Fraction
 
+#: longest numeric literal, in characters, that the parsers accept.  Every
+#: value the package handles is far shorter, and CPython 3.11+ will not
+#: print an int of more than 4300 digits, so a longer input could compute a
+#: result that it then cannot write.
+MAX_DIGITS = 1000
+
 
 def as_rational(value: int | str | Fraction) -> Fraction:
     """Coerce an int, a Fraction, or a string like ``"-3/4"`` to a Fraction."""
@@ -29,10 +35,13 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"``, ``"n"`` or a decimal like ``"3.5"``, optionally signed.
 
     Exponents (``"1e5"``) are refused: ``Fraction`` would expand them in full.
+    So is a literal longer than :data:`MAX_DIGITS` characters.
     """
     try:
         if "e" in text.lower():
             raise ValueError("exponent literals are not accepted")
+        if len(text) > MAX_DIGITS:
+            raise ValueError(f"literals over {MAX_DIGITS} characters are not accepted")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational literal: {text!r}") from exc

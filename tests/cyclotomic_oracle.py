@@ -13,14 +13,15 @@ float embedding (:meth:`CyclotomicElement.embed`) fixes zeta_r =
 exp(2*pi*i/r).
 
 The Dedekind sums themselves do not need this field: they are an integer
-cyclic convolution (see :mod:`orbcalc.dedekind`).  This module is the
-independent exact oracle for them, :func:`dedekind_sum_cyclotomic`, which
-only the tests call.  It imports :mod:`orbcalc.dedekind` for the input
-type; no production module imports this one, so ``import orbcalc`` and
-the CLI never load it.  Multiplication clears denominators, convolves the
-integer vectors in exact big-int arithmetic, then reduces with the
-residues x^(phi+t) mod Phi_r, read off the power table because x^r = 1
-mod Phi_r; the per-order tables cost O(r^2 * phi(r)), so keep r small.
+cyclic convolution (see :mod:`orbcalc.dedekind`).  This test-only module
+is the independent exact oracle for them, :func:`dedekind_sum_cyclotomic`.
+It takes nothing from the package but the public input type
+:class:`orbcalc.dedekind.DedekindInput`, and lists the admissible roots
+itself, so it shares no code with the convolution or the float oracle.
+Multiplication clears denominators, convolves the integer vectors in
+exact big-int arithmetic, then reduces with the residues x^(phi+t) mod
+Phi_r, read off the power table because x^r = 1 mod Phi_r; the per-order
+tables cost O(r^2 * phi(r)), so keep r small.
 All values are immutable and all operations are pure functions; the
 per-order caches are ``functools.lru_cache``-backed and safe to share
 between threads.
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .dedekind import DedekindInput, _admissible_roots
+from orbcalc.dedekind import DedekindInput
 
 
 class NotRationalError(ArithmeticError):
@@ -385,7 +386,7 @@ def dedekind_sum_cyclotomic(inp: DedekindInput) -> Fraction:
     Python, so keep r small.
     """
     r = inp.r
-    roots = _admissible_roots(inp)
+    roots = [j for j in range(r) if all(j * b % r for b in inp.weights)]
     if not roots:
         return Fraction(0)
     field = _field(r)

@@ -37,6 +37,9 @@ CASES = (
     ("count prefix of 4301 digits",
      ["check", "--degree", "1", "--sings", "9" * 4301 + "x A1"]),
     ("non-ASCII byte offset", ["check", "--degree", "1", "--sings", "A1,\u3000B3"]),
+    ("--chi-base over MAX_DIGITS",
+     ["double-cover", "--chi-base", "9" * 1001, "--chi-branch", "1"]),
+    ("ADE index over MAX_DIGITS", ["chi-orb", "--chi", "3", "--sings", "A" + "9" * 1001]),
 )
 
 

@@ -12,9 +12,8 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from orbcalc import catalog, cyclotomic, enumerator
+from orbcalc import catalog, enumerator
 from orbcalc.catalog import ADE, CyclicQuotient, mu_anticanonical
-from orbcalc.cyclotomic import CyclotomicElement, root_of_unity
 from orbcalc.dedekind import DedekindInput, dedekind_sum, dedekind_sum_float_oracle, sigma
 from orbcalc.enumerator import (
     INEQUALITY_ONLY,
@@ -34,6 +33,8 @@ from orbcalc.invariants import (
     hrr_milnor_check,
 )
 
+import cyclotomic_oracle as cyclotomic
+from cyclotomic_oracle import CyclotomicElement, root_of_unity
 from test_enumerator import brute_force_multisets
 
 A = lambda k: ADE("A", k)

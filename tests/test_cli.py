@@ -1,18 +1,23 @@
 import contextlib
+import importlib
 import io
 import json
 import os
-import subprocess
-import sys
+import pkgutil
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbcalc
 from orbcalc import cli, enumerator
 from orbcalc.cli import main
+from orbcalc.rationals import MAX_DIGITS
+
+# a literal over MAX_DIGITS that int() still reads: CPython 3.11+ converts
+# up to 4300 digits from text, but will not print a result this long
+_OVER_CAP = "9" * 4300
 
 
 def run(capsys, *argv):
@@ -189,6 +194,32 @@ def test_usage_error_from_argparse_exits_2(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "template",
+    [
+        ["double-cover", "--chi-base", "{n}", "--chi-branch", "1"],
+        ["bubbles", "--total", "{n}"],
+        ["check", "--degree", "1", "--sings", "A1", "--chi", "{n}"],
+        ["genus", "--weights", "1,1,1", "--degree", "{n}"],
+        ["genus", "--weights", "1,1,{n}", "--degree", "1"],
+        ["chi-orb", "--chi", "3", "--sings", "A{n}"],
+        ["chi-orb", "--chi", "3", "--sings", "1/{n}(1,2)"],
+    ],
+    ids=["chi-base", "total", "chi", "degree", "weights", "ade-index", "cyclic-order"],
+)
+def test_literal_over_digit_cap_is_a_usage_error(capsys, template):
+    assert main([arg.format(n="9" * MAX_DIGITS) for arg in template]) == 0
+    capsys.readouterr()
+    try:
+        code = main([arg.format(n=_OVER_CAP) for arg in template])
+    except SystemExit as exc:  # argparse refuses the flag value
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert _OVER_CAP in err
+
+
 def test_enumerate_json_schema_and_values(capsys):
     code, blob, _ = run_json(capsys, "enumerate", "--degree", "3")
     assert code == 0
@@ -320,28 +351,28 @@ def test_verify_examples_json(capsys):
     assert all(check["ok"] for check in blob["checks"])
 
 
-def test_cli_import_leaves_out_the_cyclotomic_oracle():
-    src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import orbcalc.cli, sys; print('orbcalc.cyclotomic' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert proc.stdout.strip() == "False"
+def test_no_package_module_builds_field_arithmetic():
+    # the exact Q(zeta_r) oracle is test code (tests/cyclotomic_oracle.py);
+    # the package computes Dedekind sums by integer convolution alone
+    oracle_names = {"CyclotomicElement", "cyclotomic_polynomial", "dedekind_sum_cyclotomic"}
+    # __main__ is left out: importing it runs the CLI
+    names = [m.name for m in pkgutil.iter_modules(orbcalc.__path__) if m.name != "__main__"]
+    assert "cli" in names and "dedekind" in names
+    for name in names:
+        module = importlib.import_module(f"orbcalc.{name}")
+        assert not oracle_names & vars(module).keys(), name
 
 
 # argv fuzzing: every generated command line must end in a result, a verdict
 # or a one-line error.  Orders and multiplicities stay small, far below
-# dedekind.MAX_WORK and catalog.MAX_POINTS, so each call stays cheap.
+# dedekind.MAX_WORK and catalog.MAX_POINTS, so each call stays cheap; the one
+# literal over MAX_DIGITS is refused before anything is computed.
 # --out is left out (it writes files; its failures have tests above), and so
 # is verify-examples, which takes no input and costs half a second a run.
 
-_SMALL_INTS = st.integers(min_value=-3, max_value=60).map(str)
+_SMALL_INTS = st.sampled_from([*map(str, range(-3, 61)), _OVER_CAP])
 _TYPE_NAMES = st.sampled_from(
-    ["A1", "A4", "A8", "A0", "D4", "D5", "E6", "E9", "B2",
+    ["A1", "A4", "A8", "A0", "D4", "D5", "E6", "E9", "B2", f"A{_OVER_CAP}",
      "1/4(1,1)", "1/8(1,3)", "1/9(1,2)", "1/5(1,2)", "1/6(2,3)", "1/1(1,1)"]
 )
 _SINGS = st.lists(
@@ -352,7 +383,7 @@ _SINGS = st.lists(
 ).map(", ".join)
 _RATIONAL_TEXT = st.one_of(
     st.fractions(min_value=-20, max_value=20, max_denominator=50).map(str),
-    st.sampled_from(["0", "3/4", "1/0", "1e3", "2.5", "-", "x/y", ""]),
+    st.sampled_from(["0", "3/4", "1/0", "1e3", "2.5", "-", "x/y", "", _OVER_CAP]),
 )
 _JUNK = st.text(alphabet="-/,.()x0123456789Aae ", max_size=8)
 _INT_LISTS = st.lists(st.integers(min_value=-5, max_value=60), min_size=1, max_size=4).map(

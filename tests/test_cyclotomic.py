@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbcalc.cyclotomic import (
+from cyclotomic_oracle import (
     CyclotomicElement,
     NotRationalError,
     cyclotomic_polynomial,

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbcalc.cyclotomic import CyclotomicElement, dedekind_sum_cyclotomic, root_of_unity
 from orbcalc.dedekind import (
     FLOAT_ORACLE_MAX_ORDER,
     MAX_WORK,
@@ -16,6 +15,8 @@ from orbcalc.dedekind import (
     dedekind_sum_float_oracle,
     sigma,
 )
+
+from cyclotomic_oracle import CyclotomicElement, dedekind_sum_cyclotomic, root_of_unity
 
 REGRESSION_VALUES = [
     (4, (1, 1), 2, Fraction(1, 16)),

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from orbcalc.rationals import (
+    MAX_DIGITS,
     Rational,
     as_rational,
     format_rational,
@@ -25,13 +26,17 @@ def test_rational_is_stdlib_fraction():
         (" 10/4 ", Fraction(5, 2)),
         ("0", Fraction(0)),
         ("3.5", Fraction(7, 2)),  # decimal literals convert exactly
+        pytest.param("9" * MAX_DIGITS, Fraction(10**MAX_DIGITS - 1), id="nines-at-cap"),
     ],
 )
 def test_parse_rational(text, expected):
     assert parse_rational(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "x", "1/0", "1/2/3", "1e5"])
+@pytest.mark.parametrize(
+    "text",
+    ["", "x", "1/0", "1/2/3", "1e5", pytest.param("9" * (MAX_DIGITS + 1), id="nines-over-cap")],
+)
 def test_parse_rational_rejects(text):
     with pytest.raises(ValueError):
         parse_rational(text)
