@@ -199,6 +199,12 @@ def format_singularity(s: SingularityType) -> str:
 #: degree's energy budget has at most 14
 MAX_POINTS = 1000
 
+#: most digits the group orders of a list's distinct types may total.  Their
+#: product P is a common denominator of the list's sums; a printed numerator is
+#: a few terms, each at most a literal or order (MAX_DIGITS + 1 digits) times
+#: the point count (4 digits) times P: under 4 * MAX_DIGITS + 7 < 4300 digits.
+MAX_ORDER_DIGITS = 3 * MAX_DIGITS
+
 _NUMBER = rf"\d{{1,{MAX_DIGITS}}}"
 _ADE_RE = re.compile(rf"^([ADE])({_NUMBER})$")
 _CYCLIC_RE = re.compile(rf"^1/({_NUMBER})\((-?{_NUMBER}),(-?{_NUMBER})\)$")
@@ -265,7 +271,8 @@ def parse_singularity_list(text: str) -> tuple[SingularityType, ...]:
     Each item is ``[Nx ]TYPE``; whitespace is insignificant and blank
     segments are skipped.  Returns the multiset with multiplicities
     expanded, in canonical order.  A list naming more than
-    :data:`MAX_POINTS` points raises ``ValueError`` before it is expanded.
+    :data:`MAX_POINTS` points raises ``ValueError`` before it is expanded; so
+    does one whose distinct group orders total over :data:`MAX_ORDER_DIGITS` digits.
     """
     out: list[SingularityType] = []
     for raw, offset in _split_top_level(text):
@@ -286,6 +293,10 @@ def parse_singularity_list(text: str) -> tuple[SingularityType, ...]:
         if len(out) + count > MAX_POINTS:
             raise ValueError(f"singularity list names more than {MAX_POINTS} points")
         out.extend([s] * count)
+    if sum(len(str(group_order(s))) for s in set(out)) > MAX_ORDER_DIGITS:
+        raise ValueError(
+            f"singularity list's group orders total more than {MAX_ORDER_DIGITS} digits"
+        )
     return tuple(sorted(out, key=sort_key))
 
 

@@ -30,7 +30,8 @@ the j-th factor (1/2r) * sum_s C_b[s] zeta^(j*s) for every j, dead roots
 and j = 0 included, since it vanishes exactly there.  Orthogonality of the
 characters then collapses the sum over all j to one entry of the
 convolution.  m <= 2 costs one O(r) dot product at the target entry,
-m >= 3 costs (m - 2) full O(r^2) convolutions first; memory is O(m * r).
+m >= 3 costs (m - 2) full O(r^2) convolutions first; memory is O(m * r),
+and the value's denominator (2r)^m grows with every weight.
 
 A weight divisible by r gives C_b = 0, so the sum is empty and the value
 is 0 by convention; callers that need the geometric coprimality
@@ -60,6 +61,13 @@ FLOAT_ORACLE_MAX_ORDER = 10**4
 # takes about 0.6 s and 80 MB peak RSS on a 2-core x86-64 host under
 # CPython 3.11.7; three weights at r = 1000 take about 0.1 s.
 MAX_WORK = 10**6
+
+# Refuse sums with B = m * (2r).bit_length() over this too: the denominator
+# (2r)^m is below 2^B and the numerator, a convolution entry of m vectors with
+# |C_b[s]| < r, below r^(2m - 1) < 2^(2B), so both print in under 4216 digits
+# (CPython 3.11+ allows 4300).  m <= 4 within MAX_WORK has B <= 42; 1042 weights
+# at r = 31, the slowest sum both limits accept, take 0.4-0.7 s.
+MAX_BITS = 7000
 
 
 @dataclass(frozen=True)
@@ -114,15 +122,17 @@ def dedekind_sum(inp: DedekindInput) -> Fraction:
     """Exact value of sigma_index(1/r(weights)); 0 when no root is admissible.
 
     Raises ValueError, before allocating anything, when the estimated work
-    exceeds :data:`MAX_WORK`.
+    exceeds :data:`MAX_WORK` or m * (2r).bit_length() exceeds :data:`MAX_BITS`.
     """
     r, m = inp.r, len(inp.weights)
     work = r if m <= 2 else (m - 2) * r * r
-    if work > MAX_WORK:
-        raise ValueError(
-            f"Dedekind sum at r={r} with {m} weights needs work {work}, "
-            f"over the limit {MAX_WORK}"
-        )
+    bits = m * (2 * r).bit_length()
+    for name, need, limit in (("work", work, MAX_WORK), ("bits", bits, MAX_BITS)):
+        if need > limit:
+            raise ValueError(
+                f"Dedekind sum at r={r} with {m} weights needs {name} {need}, "
+                f"over the limit {limit}"
+            )
     vectors = [_weight_vector(b, r) for b in inp.weights]
     acc = vectors[0]
     for c in vectors[1:-1]:

@@ -23,9 +23,9 @@ Two modes.  ``inequality-only`` is precisely the energy inequality.
 encode the known classification of limits with only du Val singularities;
 the sharper published multiplicity bounds (for instance, at most one
 A4 point in degree 2) need those classifications, not just the budget.
-Rules are data, not control flow: each has a name, a docstring, and can
-be dropped or added by passing a custom rule list.  A rule's predicate
-receives the configuration's ``config.counts`` (type -> count).
+Rules are data, not control flow: each has a name and a docstring, and a
+degree's rules are its entries of :data:`EXCLUSION_RULES`.  A rule's
+predicate receives the configuration's ``config.counts`` (type -> count).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import json
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -157,7 +157,7 @@ class DegreeRules:
     exclusion_rules: tuple[ExclusionRule, ...]
 
 
-_DEFAULT_RULES = {
+_DEGREE_RULES = {
     degree: DegreeRules(
         degree,
         types,
@@ -169,15 +169,10 @@ _DEFAULT_RULES = {
 _ALLOWED_SETS = {degree: frozenset(types) for degree, types in _ALLOWED_TYPES.items()}
 
 
-def rules_for_degree(
-    degree: int, exclusion_rules: Optional[Sequence[ExclusionRule]] = None
-) -> DegreeRules:
-    if degree not in _DEFAULT_RULES:
+def rules_for_degree(degree: int) -> DegreeRules:
+    if degree not in _DEGREE_RULES:
         raise ValueError("Del Pezzo degeneration degree must be in 1..4")
-    rules = _DEFAULT_RULES[degree]
-    if exclusion_rules is None:
-        return rules
-    return replace(rules, exclusion_rules=tuple(exclusion_rules))
+    return _DEGREE_RULES[degree]
 
 
 def check_pair_rule(degree: int, k: int, l: int) -> bool:
@@ -200,23 +195,12 @@ def _validated_mode(mode: str) -> str:
     return mode
 
 
-def _exclusion_outcomes(rules: Sequence[ExclusionRule], counts: Counter) -> dict:
-    """Rule name -> passed; a later rule of the same name overrides an earlier one."""
-    return {r.name: r.predicate(counts) for r in rules}
-
-
-def check_config(
-    config: OrbifoldConfig,
-    mode: str = WITH_EXCLUSIONS,
-    exclusion_rules: Optional[Sequence[ExclusionRule]] = None,
-) -> ConstraintReport:
+def check_config(config: OrbifoldConfig, mode: str = WITH_EXCLUSIONS) -> ConstraintReport:
     """Full admissibility report for one configuration at its degree."""
     _validated_mode(mode)
     if config.degree is None:
         raise ValueError("check_config needs the degeneration degree")
-    rules = _DEFAULT_RULES[config.degree]
-    if exclusion_rules is None:
-        exclusion_rules = rules.exclusion_rules
+    rules = _DEGREE_RULES[config.degree]
     try:
         hrr = invariants.hrr_milnor_check(config)
     except NotTabulatedError as exc:
@@ -238,7 +222,7 @@ def check_config(
         )
     exclusions = {}
     if mode == WITH_EXCLUSIONS:
-        exclusions = _exclusion_outcomes(exclusion_rules, config.counts)
+        exclusions = {r.name: r.predicate(config.counts) for r in rules.exclusion_rules}
     return ConstraintReport(
         config=config,
         twelve_sum_mu=twelve_mu,
@@ -250,8 +234,6 @@ def check_config(
         exclusions=exclusions,
         allowed_types_ok=config.counts.keys() <= _ALLOWED_SETS[config.degree],
     )
-
-
 
 
 def _search(table: TypeTable) -> list[tuple[tuple[int, ...], int, int, int]]:
@@ -323,8 +305,8 @@ class _SearchReports(Sequence):
     ``len()`` builds nothing, and :meth:`writer_rows` reads only ``rows``.
     """
 
-    def __init__(self, degree: int, mode: str, rules: DegreeRules, rows: list) -> None:
-        self.degree, self.mode, self.rules, self.rows = degree, mode, rules, rows
+    def __init__(self, degree: int, mode: str, rows: list) -> None:
+        self.degree, self.mode, self.rows = degree, mode, rows
         self._built: list[Optional[ConstraintReport]] = [None] * len(rows)
 
     def __len__(self) -> int:
@@ -334,9 +316,9 @@ class _SearchReports(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
         if self._built[i] is None:
-            types, vector = self.rules.allowed_types, self.rows[i][0]
+            types, vector = _ALLOWED_TYPES[self.degree], self.rows[i][0]
             config = OrbifoldConfig.from_counts(self.degree, types, vector)
-            self._built[i] = check_config(config, self.mode, self.rules.exclusion_rules)
+            self._built[i] = check_config(config, self.mode)
         return self._built[i]
 
     def __eq__(self, other) -> bool:
@@ -353,8 +335,8 @@ class _SearchReports(Sequence):
         table, pieces = _degree_table(self.degree)
         scale, budget, target = table.scale, table.budget, table.picard_target
         quantum = invariants.MIN_BUBBLE_ENERGY_UNITS
-        rules = self.rules.exclusion_rules if self.mode == WITH_EXCLUSIONS else ()
-        passed = tuple((f"exclusion:{r.name}", True) for r in rules)  # dict() dedupes
+        rules = _DEGREE_RULES[self.degree].exclusion_rules
+        passed = [(f"exclusion:{r.name}", True) for r in rules if self.mode == WITH_EXCLUSIONS]
 
         @functools.cache
         def verdicts(budget_ok: bool, ledger_ok: bool, picard_ok: bool) -> tuple:
@@ -391,7 +373,7 @@ def _indented_json(obj, pad: str) -> str:
     return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.cache
 def _verdicts_json_text(verdicts: tuple[tuple[str, bool], ...]) -> str:
     return _indented_json(dict(verdicts), "      ")
 
@@ -438,7 +420,7 @@ class EnumerationResult:
     mode: str
     reports: _SearchReports
     smooth: ConstraintReport
-    rules: DegreeRules  # as resolved by the search, custom rule lists included
+    rules: DegreeRules
 
     def max_multiplicity(self) -> dict[str, int]:
         """Per-type maximum multiplicity over the surviving configurations."""
@@ -472,12 +454,11 @@ class EnumerationResult:
         template (:func:`_config_json_text`).
         """
         configs = ",\n".join(map(_config_json_text, self._writer_rows))
-        configs = f"[\n{configs}\n  ]" if configs else "[]"
         return (
             "{\n"
             f'  "degree": {json.dumps(self.degree)},\n'
             f'  "mode": {json.dumps(self.mode)},\n'
-            f'  "configurations": {configs},\n'
+            f'  "configurations": [\n{configs}\n  ],\n'
             f'  "max_multiplicity": {_indented_json(self.max_multiplicity(), "  ")}\n'
             "}"
         )
@@ -514,11 +495,7 @@ def _counts(table: TypeTable, row: tuple) -> Counter:
     return Counter({t: c for t, c in zip(table.types, row[0]) if c})
 
 
-def enumerate_configurations(
-    degree: int,
-    mode: str = WITH_EXCLUSIONS,
-    exclusion_rules: Optional[Sequence[ExclusionRule]] = None,
-) -> EnumerationResult:
+def enumerate_configurations(degree: int, mode: str = WITH_EXCLUSIONS) -> EnumerationResult:
     """Enumerate every configuration satisfying the degree's constraints.
 
     One depth-first search over count vectors, in descending lexicographic
@@ -528,18 +505,14 @@ def enumerate_configurations(
     here, by :func:`check_config`.
     """
     _validated_mode(mode)
-    rules = rules_for_degree(degree, exclusion_rules)
+    rules = rules_for_degree(degree)
     table, _ = _degree_table(degree)
     rows = _search(table)
-    if mode == WITH_EXCLUSIONS and rules.exclusion_rules:
+    if mode == WITH_EXCLUSIONS:
         rows = [
             row
             for row in rows
-            if all(_exclusion_outcomes(rules.exclusion_rules, _counts(table, row)).values())
+            if all(r.predicate(_counts(table, row)) for r in rules.exclusion_rules)
         ]
-    smooth = check_config(
-        OrbifoldConfig(degree=degree, singularities=()), mode, rules.exclusion_rules
-    )
-    return EnumerationResult(
-        degree, mode, _SearchReports(degree, mode, rules, rows), smooth, rules
-    )
+    smooth = check_config(OrbifoldConfig(degree=degree, singularities=()), mode)
+    return EnumerationResult(degree, mode, _SearchReports(degree, mode, rows), smooth, rules)

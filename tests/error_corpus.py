@@ -40,6 +40,11 @@ CASES = (
     ("--chi-base over MAX_DIGITS",
      ["double-cover", "--chi-base", "9" * 1001, "--chi-branch", "1"]),
     ("ADE index over MAX_DIGITS", ["chi-orb", "--chi", "3", "--sings", "A" + "9" * 1001]),
+    ("group orders over MAX_ORDER_DIGITS",
+     ["check", "--degree", "1",
+      "--sings", ", ".join(f"A{10**999 + k}" for k in (1, 3, 5, 7))]),
+    ("dedekind over MAX_BITS",
+     ["dedekind", "--r", "2", "--weights", ",".join(["1"] * 2334)]),
 )
 
 

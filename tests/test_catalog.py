@@ -167,6 +167,20 @@ def test_parse_list_caps_the_number_of_points():
         assert str(info.value) == "singularity list names more than 1000 points"
 
 
+def test_parse_list_caps_the_digits_of_the_group_orders():
+    # four distinct types whose group orders have 1000 digits each
+    big = [f"A{10**999 + k}" for k in (1, 3, 5, 7)]
+    # repeats count once: three distinct orders have 3000 digits
+    assert len(parse_singularity_list(f"{big[0]}, 2x {big[1]}, {big[2]}, {big[0]}")) == 5
+    for text in (", ".join(big), f"{big[0]}, {big[1]}, {big[2]}, A1"):
+        with pytest.raises(ValueError) as info:
+            parse_singularity_list(text)
+        assert str(info.value) == "singularity list's group orders total more than 3000 digits"
+    # an item that does not parse is reported first, wherever it stands
+    with pytest.raises(SingularityParseError):
+        parse_singularity_list(", ".join(big) + ", B2")
+
+
 def test_format_round_trip():
     for s in (A(1), A(8), D(4), E(7), Q(4, 1, 1), Q(8, 1, 3), Q(9, 1, 2)):
         assert parse_singularity(format_singularity(s)) == s

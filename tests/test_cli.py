@@ -152,6 +152,16 @@ def test_check_over_point_limit_fails_fast(capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", [["chi-orb"], ["check", "--degree", "1"]])
+def test_list_over_order_digit_cap_is_one_line_error(capsys, command):
+    # each order fits MAX_DIGITS; together they would print over 4300 digits
+    sings = ", ".join(f"A{10**999 + k}" for k in (1, 3, 5, 7, 9))
+    code, out, err = run(capsys, *command, "--chi", "3", "--sings", sings)
+    assert code == 1
+    assert out == ""
+    assert err == "orbcalc: singularity list's group orders total more than 3000 digits\n"
+
+
 def test_check_admissible_example(capsys):
     code, blob, _ = run_json(
         capsys,
@@ -449,6 +459,7 @@ def test_fuzzed_argv_ends_in_result_verdict_or_one_line_error(argv):
     elapsed = time.perf_counter() - start
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+    assert "set_int_max_str_digits" not in err.getvalue(), argv
     if code == 1:
         assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
     assert elapsed < 5.0, argv

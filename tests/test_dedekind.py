@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from orbcalc.dedekind import (
     FLOAT_ORACLE_MAX_ORDER,
+    MAX_BITS,
     MAX_WORK,
     DedekindInput,
     _weight_vector,
@@ -199,10 +200,13 @@ def test_three_routes_on_edge_cases():
 
 
 def test_work_limit_refuses_before_allocating():
-    # m <= 2 costs r, m >= 3 costs (m - 2) * r^2
+    # m <= 2 costs r, m >= 3 costs (m - 2) * r^2; m weights at r take
+    # m * (2r).bit_length() bits, which is 3m at r = 2
     assert sigma(MAX_WORK, (1,), 0) == Fraction(MAX_WORK - 1, 2 * MAX_WORK)
     side = math.isqrt(MAX_WORK)
     sigma(side, (1, 1, 1), 0)
+    m = MAX_BITS // 3
+    assert sigma(2, (1,) * m, 0) == Fraction(1, 2 ** (m + 1))
     for r, weights in (
         (MAX_WORK + 1, (1,)),
         (MAX_WORK + 1, (1, 2)),
@@ -210,6 +214,7 @@ def test_work_limit_refuses_before_allocating():
         (math.isqrt(MAX_WORK // 2) + 1, (1, 1, 1, 1)),
         (10**9, (1, 2, 3)),
         (10**100, (1,)),
+        (2, (1,) * (m + 1)),
     ):
         with pytest.raises(ValueError, match="over the limit"):
             sigma(r, weights, 0)

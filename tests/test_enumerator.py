@@ -9,8 +9,6 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from orbcalc import enumerator
 from orbcalc.catalog import (
@@ -260,26 +258,13 @@ def test_exclusion_rules_are_data():
     assert all(isinstance(rule, ExclusionRule) for rule in EXCLUSION_RULES)
     assert {rule.degree for rule in EXCLUSION_RULES} == {1, 2, 3, 4}
     assert all(rule.description for rule in EXCLUSION_RULES)
-    # dropping every rule turns with-exclusions into the pure inequality
-    bare = enumerate_configurations(2, WITH_EXCLUSIONS, exclusion_rules=())
-    loose = enumerate_configurations(2, INEQUALITY_ONLY)
-    assert [r.config.singularities for r in bare.reports] == [
-        r.config.singularities for r in loose.reports
-    ]
-    assert bare.max_multiplicity()["A4"] == 2
-    assert bare.rules.exclusion_rules == ()
-
-
-def test_custom_exclusion_rule_injection():
-    no_a1 = ExclusionRule(
-        "ban-A1", 2, "demo rule: no A1 at all", lambda sings: A(1) not in sings
-    )
-    result = enumerate_configurations(2, WITH_EXCLUSIONS, exclusion_rules=(no_a1,))
-    assert result.rules.exclusion_rules == (no_a1,)
-    assert result.max_multiplicity()["A1"] == 0
-    for report in result.reports:
-        assert A(1) not in report.config.singularities
-        assert report.exclusions == {"ban-A1": True}
+    for degree in (1, 2, 3, 4):
+        for mode in MODES:
+            result = enumerate_configurations(degree, mode)
+            assert result.rules is rules_for_degree(degree)
+            assert result.rules.exclusion_rules == tuple(
+                rule for rule in EXCLUSION_RULES if rule.degree == degree
+            )
 
 
 def test_du_val_classification_rules():
@@ -358,31 +343,6 @@ def test_to_json_writes_the_bytes_of_the_dict_encoding(degree, mode):
     assert_writer_matches_dict(enumerate_configurations(degree, mode))
 
 
-def test_to_json_escapes_rule_names_like_json_dumps():
-    names = (
-        'quote "q"',
-        "back\\slash",
-        "d\u00e9j\u00e0 vu \u2028 \U0001d54f",
-        "tab\tnew\nline",
-    )
-    rules = [ExclusionRule(name, 2, "", lambda counts: True) for name in names]
-    result = enumerate_configurations(2, WITH_EXCLUSIONS, exclusion_rules=rules)
-    assert list(result.reports[0].exclusions) == list(names)
-    assert_writer_matches_dict(result)
-    no_rules = enumerate_configurations(2, WITH_EXCLUSIONS, exclusion_rules=())
-    assert_writer_matches_dict(no_rules)
-
-
-def test_to_json_with_no_surviving_configuration():
-    reject_all = ExclusionRule("reject-all", 3, "", lambda counts: False)
-    result = enumerate_configurations(3, WITH_EXCLUSIONS, exclusion_rules=(reject_all,))
-    assert result.reports == []
-    assert '"configurations": [],' in result.to_json()
-    assert_writer_matches_dict(result)
-    assert result.to_text().startswith("degree 3, mode with-exclusions: 0 configurations ")
-    assert result.max_multiplicity() == {"A1": 0, "A2": 0}
-
-
 def test_every_search_report_fits_the_writer_row():
     # the writer row has no chi slot, no bubble violation, min 1 and no empty
     # list: a search never knows chi, and every allowed type carries at least
@@ -458,45 +418,3 @@ def test_reports_on_demand_equal_the_check_config_list(degree, mode):
         format_singularity(t): max((r.config.counts[t] for r in expected), default=0)
         for t in types
     }
-
-
-@st.composite
-def _rule_lists(draw):
-    degree = draw(st.integers(1, 4))
-    types = rules_for_degree(degree).allowed_types
-    specs = draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["a", "b", 'q"\\', "\u00e9"]),  # repeats share a name
-                st.integers(0, len(types) - 1),
-                st.integers(0, 3),
-                st.booleans(),
-            ),
-            max_size=4,
-        )
-    )
-    rules = [
-        ExclusionRule(
-            name, degree, "", lambda counts, t=types[i], k=k, at_most=at_most:
-            (counts.get(t, 0) <= k) == at_most
-        )
-        for name, i, k, at_most in specs
-    ]
-    return degree, rules
-
-
-@settings(max_examples=20, deadline=None)
-@given(_rule_lists())
-# the later of two same-named rules decides, as in check_config's dict
-@example((2, [ExclusionRule("a", 2, "", lambda c, ok=ok: ok) for ok in (False, True)]))
-def test_random_exclusion_rules_keep_the_writer_equal_to_the_dict(case):
-    degree, rules = case
-    result = enumerate_configurations(degree, WITH_EXCLUSIONS, exclusion_rules=rules)
-    assert_writer_matches_dict(result)
-    types = rules_for_degree(degree).allowed_types
-    kept = []
-    for vec in sorted(brute_force_multisets(degree), reverse=True):
-        config = OrbifoldConfig.from_counts(degree, types, vec)
-        if all({r.name: r.predicate(config.counts) for r in rules}.values()):
-            kept.append(config)
-    assert [r.config for r in result.reports] == kept
