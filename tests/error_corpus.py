@@ -45,6 +45,8 @@ CASES = (
       "--sings", ", ".join(f"A{10**999 + k}" for k in (1, 3, 5, 7))]),
     ("dedekind over MAX_BITS",
      ["dedekind", "--r", "2", "--weights", ",".join(["1"] * 2334)]),
+    ("float oracle past its error bound",
+     ["dedekind", "--r", "31", "--weights", ",".join(["1"] * 600), "--oracle"]),
 )
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbcalc.dedekind import (
+    FLOAT_ORACLE_MAX_ERROR,
     FLOAT_ORACLE_MAX_ORDER,
     MAX_BITS,
     MAX_WORK,
@@ -40,6 +41,13 @@ def test_single_weight_closed_form():
         assert sigma(r, (1,), 0) == Fraction(r - 1, 2 * r)
 
 
+@pytest.mark.parametrize("r", [2, 3, 7, 12, 101, 1000])
+def test_unit_weight_closed_forms(r):
+    # up to the MAX_WORK edge for three weights, r = 1000
+    assert r * sigma(r, (1, 1), 0) == Fraction(-(r - 1) * (r - 5), 12)
+    assert r * sigma(r, (1, 1, 1), 0) == Fraction(-(r - 1) * (r - 3), 8)
+
+
 def test_a_series_through_the_sigma_rule():
     # A_k is the cyclic quotient 1/(k+1)(1, k); index -(b1+b2) = 0 mod r
     for k in range(1, 9):
@@ -51,6 +59,7 @@ def test_empty_sum_conventions():
     assert sigma(1, (0,), 0) == 0
     assert sigma(5, (0,), 3) == 0
     assert sigma(6, (2, 3), 1) == 0  # no j avoids both dead weights
+    assert sigma(199, (199, 1, 2), 5) == 0  # a dead weight among three, at r >= 128
     assert dedekind_sum(DedekindInput(4, (2, 1), 0)) == sigma(4, (2, 1), 0)
 
 
@@ -117,6 +126,52 @@ def test_float_oracle_random_agreement():
 def test_float_oracle_order_guard():
     with pytest.raises(ValueError):
         dedekind_sum_float_oracle(DedekindInput(FLOAT_ORACLE_MAX_ORDER + 1, (1,), 0))
+
+
+def _term_moduli_sum(inp):
+    """S = sum over admissible j of prod_t 1 / |1 - zeta^(j b_t)|, by 2 sin(pi k / r)."""
+    r = inp.r
+    return math.fsum(
+        math.prod(1 / abs(2 * math.sin(math.pi * (j * b % r) / r)) for b in inp.weights)
+        for j in range(1, r)
+        if all(j * b % r for b in inp.weights)
+    )
+
+
+def _oracle_domain_cases():
+    rng = random.Random(20261019)
+    cases = [(101, (1,) * 6, 1), (31, (1,) * 9, 0), (31, (1,) * 8, 3), (199, (1,) * 4, 0)]
+    cases += [(r, (1, 1), 0) for r in (1000, 10**4)] + [(1000, (1, 1, 1), 1), (300, (1,) * 4, 7)]
+    for _ in range(30):
+        r = rng.randrange(2, 400)
+        m = rng.randrange(1, 9)
+        weights = tuple(rng.choice((1, -1, rng.randrange(r))) for _ in range(m))
+        cases.append((r, weights, rng.randrange(-2 * r, 2 * r)))
+    return cases
+
+
+@pytest.mark.parametrize("r, weights, index", _oracle_domain_cases())
+def test_float_oracle_keeps_its_error_bound(r, weights, index):
+    # each term carries relative error <= 17(m + 3) 2^-53 and math.fsum one more
+    # rounding, so the value is within 9(m + 3) 2^-52 S / r of the exact sum (plus
+    # half that for rounding the exact value to a float); the oracle refuses when
+    # 16(m + 3) 2^-52 S / r exceeds FLOAT_ORACLE_MAX_ERROR
+    inp = DedekindInput(r, weights, index)
+    m, scale = len(inp.weights), _term_moduli_sum(inp) / r * 2.0**-52
+    if 16 * (m + 3) * scale > FLOAT_ORACLE_MAX_ERROR:
+        with pytest.raises(ValueError, match="float oracle limited to error bound <= 1e-09"):
+            dedekind_sum_float_oracle(inp)
+    else:
+        error = abs(dedekind_sum_float_oracle(inp) - float(dedekind_sum(inp)))
+        assert error <= (9 * (m + 3) + 0.5) * scale
+
+
+def test_float_oracle_refuses_past_its_domain():
+    # with 6 and 9 unit weights the terms, up to (2 sin(pi/r))^-m, cancel down to a
+    # value the 1e-9 budget cannot hold; with 600 a term overflows
+    for weights, index, r in (((1,) * 6, 1, 101), ((1,) * 9, 0, 31), ((1,) * 600, 0, 31)):
+        with pytest.raises(ValueError, match=f"float oracle limited to error bound .* at r={r}"):
+            dedekind_sum_float_oracle(DedekindInput(r, weights, index))
 
 
 def test_terms_match_manual_cyclotomic_assembly():
@@ -191,6 +246,11 @@ def test_three_routes_on_edge_cases():
         (12, (2, 3, 4, 6), -10**20),
         (30, (6, 10, 15), 10**15 + 7),
         (36, (9, 12, 24, 27), -71),
+        (7, (1, 2, 3, 4, 5), 3),
+        (12, (1, 5, 7, 11, 2, 3), -4),
+        (9, (1, 2, 4, 5, 7, 8, 3), 10),
+        (10, (1, 3, 7, 9, 1, 3, 7, 9), 5),
+        (11, (1, 2, 3, 4, 5, 6, 7, 8, 9), -1),
     ]
     for r, weights, index in cases:
         inp = DedekindInput(r, weights, index)
@@ -204,7 +264,7 @@ def test_work_limit_refuses_before_allocating():
     # m * (2r).bit_length() bits, which is 3m at r = 2
     assert sigma(MAX_WORK, (1,), 0) == Fraction(MAX_WORK - 1, 2 * MAX_WORK)
     side = math.isqrt(MAX_WORK)
-    sigma(side, (1, 1, 1), 0)
+    assert side * sigma(side, (1, 1, 1), 0) == Fraction(-(side - 1) * (side - 3), 8)
     m = MAX_BITS // 3
     assert sigma(2, (1,) * m, 0) == Fraction(1, 2 ** (m + 1))
     for r, weights in (
