@@ -15,8 +15,8 @@ anticanonical bundle (and for K^2 on the canonical types), and the Milnor
 number.  Anticanonical corrections come from two independent routes that
 the test suite plays against each other:
 
-* closed forms for the canonical types: 12*mu(A_k) = (k+1) - 1/(k+1) and
-  12*mu(D_4) = 39/8;
+* one closed form for the canonical types, 12*mu = k + 1 - 1/|G| (index k,
+  group order |G|): K^2 for every ADE type, K^-1 for A_k and D_4 only;
 * the Dedekind-sum rule for cyclic quotients: mu = sigma_{r+k} with
   k = -(b1 + b2), indices mod r.
 
@@ -117,41 +117,27 @@ def group_order(s: SingularityType) -> int:
 def mu_anticanonical(s: SingularityType) -> Fraction:
     """HRR correction term mu(K^-1) at the singularity, exact.
 
-    Canonical types use the tabulated closed forms; cyclic quotients go
-    through the Dedekind-sum rule mu = sigma_{r+k}(1/r(b1,b2)) with
-    k = -(b1+b2).
+    A_k and D_4 take the canonical types' closed form, the value of
+    :func:`mu_canonical_square`; cyclic quotients go through the
+    Dedekind-sum rule mu = sigma_{r+k}(1/r(b1,b2)) with k = -(b1+b2).
     """
     if isinstance(s, CyclicQuotient):
         k = (-(s.b1 + s.b2)) % s.r
         return sigma(s.r, (s.b1, s.b2), s.r + k)
-    if s.family == "A":
-        n = s.index + 1
-        return (Fraction(n) - Fraction(1, n)) / 12
-    if s.family == "D" and s.index == 4:
-        return Fraction(39, 8) / 12
+    if s.family == "A" or (s.family == "D" and s.index == 4):
+        return mu_canonical_square(s)
     raise NotTabulatedError(
         f"anticanonical correction term not tabulated in source for {format_singularity(s)}"
     )
 
 
 def mu_canonical_square(s: SingularityType) -> Fraction:
-    """HRR correction term mu(K^2), tabulated for the canonical (ADE) types only."""
+    """HRR correction term mu(K^2), for the canonical (ADE) types only: 12*mu = k + 1 - 1/|G|."""
     if isinstance(s, CyclicQuotient):
         raise NotTabulatedError(
             "K^2 correction not given in source for non-canonical types"
         )
-    n = s.index
-    if s.family == "A":
-        twelve = Fraction(n + 1) - Fraction(1, n + 1)
-    elif s.family == "D":
-        twelve = Fraction(n + 1) - Fraction(1, 4 * (n - 2))
-    else:
-        twelve = {
-            6: Fraction(7) - Fraction(1, 24),
-            7: Fraction(8) - Fraction(1, 48),
-            8: Fraction(9) - Fraction(1, 120),
-        }[n]
-    return twelve / 12
+    return (s.index + 1 - Fraction(1, group_order(s))) / 12
 
 
 @functools.cache

@@ -25,7 +25,8 @@ the sharper published multiplicity bounds (for instance, at most one
 A4 point in degree 2) need those classifications, not just the budget.
 Rules are data, not control flow: each has a name and a docstring, and a
 degree's rules are its entries of :data:`EXCLUSION_RULES`.  A rule's
-predicate receives the configuration's ``config.counts`` (type -> count).
+predicate sees only ``config.counts`` (type -> count) holding du Val points,
+at least one: :class:`ExclusionRule` lets every other configuration pass.
 """
 
 from __future__ import annotations
@@ -64,15 +65,11 @@ _ALLOWED_TYPES: dict[int, tuple[SingularityType, ...]] = {
 }
 
 
-def _du_val_only(counts: Counter) -> bool:
-    return all(isinstance(s, ADE) for s in counts)
-
-
 @dataclass(frozen=True)
 class ExclusionRule:
     """A named, documented predicate; True means the configuration survives.
 
-    The predicate receives the configuration as a ``Counter`` multiset.
+    The predicate sees only non-empty ``Counter``s of du Val points; others pass.
     """
 
     name: str
@@ -80,35 +77,32 @@ class ExclusionRule:
     description: str
     predicate: Callable[[Counter], bool]
 
+    def __call__(self, counts: Counter) -> bool:
+        if not counts or not all(isinstance(s, ADE) for s in counts):
+            return True
+        return self.predicate(counts)
+
     def passes(self, sings: Iterable[SingularityType]) -> bool:
-        return self.predicate(Counter(sings))
+        return self(Counter(sings))
 
 
 def _rule_du_val_degree_4(counts: Counter) -> bool:
-    if not counts or not _du_val_only(counts):
-        return True
     return set(counts) == {ADE("A", 1)} and sum(counts.values()) in (2, 4)
 
 
 def _rule_du_val_degree_3(counts: Counter) -> bool:
-    if not counts or not _du_val_only(counts):
-        return True
     if set(counts) == {ADE("A", 1)}:
         return True
     return counts == Counter({ADE("A", 2): 3})
 
 
 def _rule_du_val_degree_2(counts: Counter) -> bool:
-    if not counts or not _du_val_only(counts):
-        return True
     if set(counts) <= {ADE("A", 1), ADE("A", 2)}:
         return True
     return counts == Counter({ADE("A", 3): 2})
 
 
 def _rule_du_val_degree_1(counts: Counter) -> bool:
-    if not counts or not _du_val_only(counts):
-        return True
     if all(s.family == "A" and s.index <= 7 for s in counts):
         return True
     return counts == Counter({ADE("D", 4): 2})
@@ -166,7 +160,6 @@ _DEGREE_RULES = {
     )
     for degree, types in _ALLOWED_TYPES.items()
 }
-_ALLOWED_SETS = {degree: frozenset(types) for degree, types in _ALLOWED_TYPES.items()}
 
 
 def rules_for_degree(degree: int) -> DegreeRules:
@@ -222,7 +215,7 @@ def check_config(config: OrbifoldConfig, mode: str = WITH_EXCLUSIONS) -> Constra
         )
     exclusions = {}
     if mode == WITH_EXCLUSIONS:
-        exclusions = {r.name: r.predicate(config.counts) for r in rules.exclusion_rules}
+        exclusions = {r.name: r(config.counts) for r in rules.exclusion_rules}
     return ConstraintReport(
         config=config,
         twelve_sum_mu=twelve_mu,
@@ -232,7 +225,7 @@ def check_config(config: OrbifoldConfig, mode: str = WITH_EXCLUSIONS) -> Constra
         chi_orb=chi_orb,
         chi_limit_check=chi_limit_check,
         exclusions=exclusions,
-        allowed_types_ok=config.counts.keys() <= _ALLOWED_SETS[config.degree],
+        allowed_types_ok=config.counts.keys() <= set(rules.allowed_types),
     )
 
 
@@ -285,12 +278,10 @@ def _degree_table(degree: int) -> tuple[TypeTable, list[list[tuple[str, str]]]]:
 # A writer row is what one configuration of a search prints, already decided:
 #   (pieces, twelve_sum_mu, picard rank, bubble window, verdicts)
 # with rationals as lowest-terms (num, den) pairs, the window as its
-# (max, exact_fit) and verdicts as ConstraintReport.verdicts() items.  A search
-# never knows chi, so chi_orb is always null; it keeps only 12*sum(mu) > 0, so
-# no configuration is empty; and every allowed type carries at least one bubble
-# quantum, so a window's min is 1 and it has no violation.
-
-_PICARD_VERDICT = 2  # "picard_rank_is_positive_integer", third in every verdict list
+# (max, exact_fit) and verdicts as invariants.verdict_items pairs.  A search
+# uses only allowed types and never knows chi (chi_orb is null); it keeps only
+# 12*sum(mu) > 0, so no configuration is empty; and every allowed type carries
+# at least one bubble quantum, so a window's min is 1 and it has no violation.
 
 
 def _reduced(num: int, den: int) -> tuple[int, int]:
@@ -336,18 +327,11 @@ class _SearchReports(Sequence):
         scale, budget, target = table.scale, table.budget, table.picard_target
         quantum = invariants.MIN_BUBBLE_ENERGY_UNITS
         rules = _DEGREE_RULES[self.degree].exclusion_rules
-        passed = [(f"exclusion:{r.name}", True) for r in rules if self.mode == WITH_EXCLUSIONS]
+        passed = {r.name: True for r in rules if self.mode == WITH_EXCLUSIONS}
 
         @functools.cache
         def verdicts(budget_ok: bool, ledger_ok: bool, picard_ok: bool) -> tuple:
-            return (
-                ("budget_ok", budget_ok),
-                ("milnor_ledger_holds", ledger_ok),
-                ("picard_rank_is_positive_integer", picard_ok),
-                ("types_allowed_for_degree", True),
-                *passed,
-                ("admissible", budget_ok and picard_ok),
-            )
+            return invariants.verdict_items(budget_ok, ledger_ok, picard_ok, True, None, passed)
 
         out = []
         for vector, o, nu, t in self.rows:
@@ -481,7 +465,7 @@ class EnumerationResult:
         names = [", ".join([note for _, note in row[0]]) for row in rows]
         width = max(map(len, names), default=0)
         for name, (_, twelve, rho, _, verdicts) in zip(names, rows):
-            picard_ok = verdicts[_PICARD_VERDICT][1]
+            picard_ok = verdicts[invariants.PICARD_VERDICT][1]
             flag = "" if picard_ok else "  [picard rank not positive integral]"
             lines.append(
                 f"  {name:<{width}}  12*sum(mu) = "
@@ -512,7 +496,7 @@ def enumerate_configurations(degree: int, mode: str = WITH_EXCLUSIONS) -> Enumer
         rows = [
             row
             for row in rows
-            if all(r.predicate(_counts(table, row)) for r in rules.exclusion_rules)
+            if all(r(_counts(table, row)) for r in rules.exclusion_rules)
         ]
     smooth = check_config(OrbifoldConfig(degree=degree, singularities=()), mode)
     return EnumerationResult(degree, mode, _SearchReports(degree, mode, rows), smooth, rules)

@@ -299,6 +299,32 @@ def hrr_milnor_check(config: OrbifoldConfig) -> HrrMilnorReport:
     return HrrMilnorReport(first, second, Fraction(rho, scale), provided, twelve_sum_mu)
 
 
+PICARD_VERDICT = 2  # the Picard verdict's place in every verdict_items list
+
+
+def verdict_items(
+    budget_ok: bool, ledger_ok: bool, picard_ok: bool, types_ok: bool,
+    chi_ok: Optional[bool], exclusions: dict[str, bool],
+) -> tuple[tuple[str, bool], ...]:
+    """A configuration's verdicts as ``(name, passed)`` pairs, in report order.
+
+    ``chi_ok`` is None when chi(M) is unknown.  ``admissible``, last, needs
+    every verdict but the Milnor ledger, which is reported, not required.
+    """
+    items = [
+        ("budget_ok", budget_ok),
+        ("milnor_ledger_holds", ledger_ok),
+        ("picard_rank_is_positive_integer", picard_ok),
+        ("types_allowed_for_degree", types_ok),
+    ]
+    if chi_ok is not None:
+        items.append(("chi_limit_matches_degree", chi_ok))
+    items += [(f"exclusion:{name}", passed) for name, passed in exclusions.items()]
+    admissible = budget_ok and picard_ok and types_ok and chi_ok is not False
+    items.append(("admissible", admissible and all(exclusions.values())))
+    return tuple(items)
+
+
 @dataclass(slots=True)
 class ConstraintReport:
     """Per-configuration verdict: every identity with both sides exact."""
@@ -323,29 +349,15 @@ class ConstraintReport:
 
     @property
     def admissible(self) -> bool:
-        """Budget satisfied, integral positive Picard rank, no exclusion hit."""
-        # the Milnor ledger is reported, not required
-        return (
-            self.budget_ok
-            and self.hrr.picard_ok
-            and self.allowed_types_ok
-            and all(self.exclusions.values())
-            and (self.chi_limit_check is None or self.chi_limit_check.holds)
-        )
+        """The last of :meth:`verdicts`: :func:`verdict_items` puts admissibility there."""
+        return next(reversed(self.verdicts().values()))
 
     def verdicts(self) -> dict:
-        out = {
-            "budget_ok": self.budget_ok,
-            "milnor_ledger_holds": self.hrr.milnor_ledger.holds,
-            "picard_rank_is_positive_integer": self.hrr.picard_ok,
-            "types_allowed_for_degree": self.allowed_types_ok,
-        }
-        if self.chi_limit_check is not None:
-            out["chi_limit_matches_degree"] = self.chi_limit_check.holds
-        for name, passed in self.exclusions.items():
-            out[f"exclusion:{name}"] = passed
-        out["admissible"] = self.admissible
-        return out
+        hrr, chi = self.hrr, self.chi_limit_check
+        return dict(verdict_items(
+            self.budget_ok, hrr.milnor_ledger.holds, hrr.picard_ok, self.allowed_types_ok,
+            None if chi is None else chi.holds, self.exclusions,
+        ))
 
     def summary_json(self) -> dict:
         """The keys one configuration carries in an enumeration's JSON.

@@ -66,7 +66,7 @@ def test_twelve_mu_canonical_square_table():
     assert 12 * mu_canonical_square(E(6)) == Fraction(7) - Fraction(1, 24)
     assert 12 * mu_canonical_square(E(7)) == Fraction(8) - Fraction(1, 48)
     assert 12 * mu_canonical_square(E(8)) == Fraction(9) - Fraction(1, 120)
-    # the two bundle tables agree on D4
+    # the anticanonical bundle takes the same closed form on D4
     assert mu_canonical_square(D(4)) == mu_anticanonical(D(4))
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import pkgutil
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -371,6 +372,16 @@ def test_no_package_module_builds_field_arithmetic():
     for name in names:
         module = importlib.import_module(f"orbcalc.{name}")
         assert not oracle_names & vars(module).keys(), name
+
+
+def test_all_lists_exactly_the_public_bindings():
+    public = {
+        name
+        for name, value in vars(orbcalc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(orbcalc.__all__) == len(set(orbcalc.__all__))
+    assert set(orbcalc.__all__) == public
 
 
 # argv fuzzing: every generated command line must end in a result, a verdict

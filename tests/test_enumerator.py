@@ -285,11 +285,15 @@ def test_du_val_classification_rules():
     assert d1_rule.passes((A(8), Q(9, 1, 2)))
 
     d4_rule = next(r for r in EXCLUSION_RULES if r.degree == 4)
+    assert d4_rule.passes(())
     assert d4_rule.passes((A(1), A(1)))
     assert not d4_rule.passes((A(1), A(1), A(1)))
+    assert d4_rule.passes((A(1), A(1), A(1), Q(4, 1, 1)))
 
     d3_rule = next(r for r in EXCLUSION_RULES if r.degree == 3)
+    assert d3_rule.passes(())
     assert d3_rule.passes((A(1), A(1), A(1)))
+    assert d3_rule.passes((A(1), A(2), Q(4, 1, 1)))
     assert d3_rule.passes((A(2), A(2), A(2)))
     assert not d3_rule.passes((A(2), A(2)))
     assert not d3_rule.passes((A(1), A(2)))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from orbcalc.invariants import (
     ANTICANONICAL,
     CANONICAL_SQUARE,
     MIN_BUBBLE_ENERGY_UNITS,
+    PICARD_VERDICT,
     BubbleBounds,
     ConstraintReport,
     HrrMilnorReport,
@@ -31,6 +33,7 @@ from orbcalc.invariants import (
     euler_double_cover,
     genus_weighted_plane_curve,
     hrr_milnor_check,
+    verdict_items,
 )
 
 A = lambda k: ADE("A", k)
@@ -353,3 +356,41 @@ def test_report_classes_are_slotted_with_dataclass_eq_and_hash():
     assert constraint != dataclasses.replace(constraint, allowed_types_ok=False)
     # counts is derived, so it takes no part in == or hash
     assert "counts" not in [f.name for f in dataclasses.fields(OrbifoldConfig) if f.compare]
+
+
+_VERDICT_HEAD = (
+    "budget_ok",
+    "milnor_ledger_holds",
+    "picard_rank_is_positive_integer",
+    "types_allowed_for_degree",
+)
+
+
+def test_verdict_items_truth_table():
+    bools = (False, True)
+    exclusion_sets = [{}] + [
+        dict(zip(("rule-a", "rule-b")[:n], passed))
+        for n in (1, 2)
+        for passed in itertools.product(bools, repeat=n)
+    ]
+    for budget, ledger, picard, types in itertools.product(bools, repeat=4):
+        for chi in (None, False, True):
+            for exclusions in exclusion_sets:
+                items = verdict_items(budget, ledger, picard, types, chi, exclusions)
+                names = [name for name, _ in items]
+                expected = list(_VERDICT_HEAD)
+                if chi is not None:
+                    expected.append("chi_limit_matches_degree")
+                expected += [f"exclusion:{name}" for name in exclusions]
+                assert names == expected + ["admissible"]
+                assert [v for _, v in items[:4]] == [budget, ledger, picard, types]
+                assert items[PICARD_VERDICT] == ("picard_rank_is_positive_integer", picard)
+                admissible = (
+                    budget and picard and types and chi is not False
+                    and all(exclusions.values())
+                )
+                assert items[-1] == ("admissible", admissible)
+                assert all(type(v) is bool for _, v in items)
+    # the Milnor ledger is reported, not required
+    ledger_false = verdict_items(True, False, True, True, None, {"rule-a": True})
+    assert dict(ledger_false)["admissible"] is True
