@@ -4,8 +4,11 @@ Two kinds of types are supported:
 
 * ``CyclicQuotient(r, b1, b2)`` -- the cyclic quotient C^2/(Z/r) acting by
   (z1, z2) -> (zeta^b1 z1, zeta^b2 z2), weights coprime to r (isolated
-  singularity).  Weights are reduced mod r and stored sorted ascending, so
-  equal types compare equal under weight permutation.
+  singularity).  Each type is stored in the normal form 1/r(1, q) with
+  q = b2 * b1^-1 mod r replaced by min(q, q*), where q * q* = 1 mod r:
+  two cyclic quotients are isomorphic exactly when their q agree up to
+  q <-> q* (Riemenschneider, Math. Ann. 209 (1974)), so isomorphic types
+  compare equal, whatever weights name them.
 * ``ADE(family, index)`` -- the canonical (du Val) classes A_k, D_k
   (k >= 4), E_6, E_7, E_8.
 
@@ -88,15 +91,15 @@ class CyclicQuotient:
     b2: int
 
     def __post_init__(self):
-        if self.r < 2:
+        r = self.r
+        if r < 2:
             raise ValueError("cyclic quotient order r must be >= 2")
-        w = sorted((self.b1 % self.r, self.b2 % self.r))
-        if any(math.gcd(b, self.r) != 1 for b in w):
-            raise ValueError(
-                f"weights of 1/{self.r}({self.b1},{self.b2}) must be coprime to {self.r}"
-            )
-        object.__setattr__(self, "b1", w[0])
-        object.__setattr__(self, "b2", w[1])
+        if math.gcd(self.b1, r) != 1 or math.gcd(self.b2, r) != 1:
+            raise ValueError(f"weights of 1/{r}({self.b1},{self.b2}) must be coprime to {r}")
+        # 1/r(b1,b2) is 1/r(1,q) with q = b2/b1 mod r, and 1/r(1,q) is 1/r(1,q*)
+        q = self.b2 * pow(self.b1, -1, r) % r
+        object.__setattr__(self, "b1", 1)
+        object.__setattr__(self, "b2", min(q, pow(q, -1, r)))
 
 
 SingularityType = Union[ADE, CyclicQuotient]

@@ -23,10 +23,10 @@ Two modes.  ``inequality-only`` is precisely the energy inequality.
 encode the known classification of limits with only du Val singularities;
 the sharper published multiplicity bounds (for instance, at most one
 A4 point in degree 2) need those classifications, not just the budget.
-Rules are data, not control flow: each has a name and a docstring, and a
-degree's rules are its entries of :data:`EXCLUSION_RULES`.  A rule's
-predicate sees only ``config.counts`` (type -> count) holding du Val points,
-at least one: :class:`ExclusionRule` lets every other configuration pass.
+Rules are data, not control flow: each degree's allowed types, budget and
+one rule (named du Val types ``free``, multisets ``exact``) are one row of
+``_DEGREE_RULES``.  The guard stays in :meth:`ExclusionRule.__call__`: a rule
+judges only ``config.counts`` holding du Val points, and passes all others.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from . import catalog, invariants
 from .catalog import ADE, CyclicQuotient, NotTabulatedError, SingularityType
@@ -50,95 +50,29 @@ INEQUALITY_ONLY = "inequality-only"
 WITH_EXCLUSIONS = "with-exclusions"
 MODES = (INEQUALITY_ONLY, WITH_EXCLUSIONS)
 
-# each tuple is written in catalog.sort_key order, the order the search uses
-_ALLOWED_TYPES: dict[int, tuple[SingularityType, ...]] = {
-    4: (ADE("A", 1),),
-    3: (ADE("A", 1), ADE("A", 2)),
-    2: tuple(ADE("A", k) for k in range(1, 5)) + (CyclicQuotient(4, 1, 1),),
-    1: tuple(ADE("A", k) for k in range(1, 9))
-    + (
-        ADE("D", 4),
-        CyclicQuotient(4, 1, 1),
-        CyclicQuotient(8, 1, 3),
-        CyclicQuotient(9, 1, 2),
-    ),
-}
-
 
 @dataclass(frozen=True)
 class ExclusionRule:
-    """A named, documented predicate; True means the configuration survives.
+    """One degree's du Val classification, as data; True means the configuration survives.
 
-    The predicate sees only non-empty ``Counter``s of du Val points; others pass.
+    A configuration of du Val points, at least one, survives when its types lie
+    in ``free`` or its multiset, as ``(type, count)`` pairs, is one of ``exact``.
+    The guard in :meth:`__call__` lets every other configuration pass.
     """
 
     name: str
     degree: int
     description: str
-    predicate: Callable[[Counter], bool]
+    free: frozenset[ADE]
+    exact: frozenset[frozenset[tuple[ADE, int]]]
 
     def __call__(self, counts: Counter) -> bool:
         if not counts or not all(isinstance(s, ADE) for s in counts):
             return True
-        return self.predicate(counts)
+        return counts.keys() <= self.free or frozenset(counts.items()) in self.exact
 
     def passes(self, sings: Iterable[SingularityType]) -> bool:
         return self(Counter(sings))
-
-
-def _rule_du_val_degree_4(counts: Counter) -> bool:
-    return set(counts) == {ADE("A", 1)} and sum(counts.values()) in (2, 4)
-
-
-def _rule_du_val_degree_3(counts: Counter) -> bool:
-    if set(counts) == {ADE("A", 1)}:
-        return True
-    return counts == Counter({ADE("A", 2): 3})
-
-
-def _rule_du_val_degree_2(counts: Counter) -> bool:
-    if set(counts) <= {ADE("A", 1), ADE("A", 2)}:
-        return True
-    return counts == Counter({ADE("A", 3): 2})
-
-
-def _rule_du_val_degree_1(counts: Counter) -> bool:
-    if all(s.family == "A" and s.index <= 7 for s in counts):
-        return True
-    return counts == Counter({ADE("D", 4): 2})
-
-
-EXCLUSION_RULES: tuple[ExclusionRule, ...] = (
-    ExclusionRule(
-        "du-val-classification-d4",
-        4,
-        "A degree-4 limit with only du Val points is known to have exactly "
-        "two or exactly four A1 singularities.",
-        _rule_du_val_degree_4,
-    ),
-    ExclusionRule(
-        "du-val-classification-d3",
-        3,
-        "A degree-3 limit with only du Val points is a cubic surface whose "
-        "singularities are all A1, or exactly three A2.",
-        _rule_du_val_degree_3,
-    ),
-    ExclusionRule(
-        "du-val-classification-d2",
-        2,
-        "A degree-2 limit with only du Val points has singularities drawn "
-        "from {A1, A2} only, or exactly two A3; in particular A4 points "
-        "require a non-du-Val companion.",
-        _rule_du_val_degree_2,
-    ),
-    ExclusionRule(
-        "du-val-classification-d1",
-        1,
-        "A degree-1 limit with only du Val points has only A_k points with "
-        "k <= 7, or exactly two D4.",
-        _rule_du_val_degree_1,
-    ),
-)
 
 
 @dataclass(frozen=True)
@@ -151,15 +85,56 @@ class DegreeRules:
     exclusion_rules: tuple[ExclusionRule, ...]
 
 
-_DEGREE_RULES = {
-    degree: DegreeRules(
-        degree,
-        types,
-        Fraction(12 - degree),
-        tuple(r for r in EXCLUSION_RULES if r.degree == degree),
+def _row(degree: int, types: tuple, free: tuple, exact: tuple, description: str) -> DegreeRules:
+    """One degree's rules; each multiset in ``exact`` is given as a tuple of points."""
+    multisets = frozenset(frozenset(Counter(points).items()) for points in exact)
+    name = f"du-val-classification-d{degree}"
+    rule = ExclusionRule(name, degree, description, frozenset(free), multisets)
+    return DegreeRules(degree, types, Fraction(12 - degree), (rule,))
+
+
+def _a(*indices: int) -> tuple[ADE, ...]:
+    """One ``A_k`` point per index, repeats kept: ``_a(1, 1)`` is two A1 points."""
+    return tuple(ADE("A", k) for k in indices)
+
+
+# One row per degree: the types a limit may carry, in catalog.sort_key order
+# (the order the search uses), and the classification of limits with only du
+# Val points (Odaka, Spotti & Sun, J. Differential Geom. 102 (2016)).
+_DEGREE_RULES: dict[int, DegreeRules] = {
+    rules.degree: rules
+    for rules in (
+        _row(
+            4, _a(1), free=(), exact=(_a(1, 1), _a(1, 1, 1, 1)),
+            description="A degree-4 limit with only du Val points is known to have "
+            "exactly two or exactly four A1 singularities.",
+        ),
+        _row(
+            3, _a(1, 2), free=_a(1), exact=(_a(2, 2, 2),),
+            description="A degree-3 limit with only du Val points is a cubic surface "
+            "whose singularities are all A1, or exactly three A2.",
+        ),
+        _row(
+            2, _a(1, 2, 3, 4) + (CyclicQuotient(4, 1, 1),), free=_a(1, 2), exact=(_a(3, 3),),
+            description="A degree-2 limit with only du Val points has singularities drawn "
+            "from {A1, A2} only, or exactly two A3; in particular A4 points "
+            "require a non-du-Val companion.",
+        ),
+        _row(
+            1,
+            _a(*range(1, 9)) + (ADE("D", 4),)
+            + (CyclicQuotient(4, 1, 1), CyclicQuotient(8, 1, 3), CyclicQuotient(9, 1, 2)),
+            free=_a(*range(1, 8)),
+            exact=((ADE("D", 4), ADE("D", 4)),),
+            description="A degree-1 limit with only du Val points has only A_k points "
+            "with k <= 7, or exactly two D4.",
+        ),
     )
-    for degree, types in _ALLOWED_TYPES.items()
 }
+
+EXCLUSION_RULES: tuple[ExclusionRule, ...] = tuple(
+    rule for rules in _DEGREE_RULES.values() for rule in rules.exclusion_rules
+)
 
 
 def rules_for_degree(degree: int) -> DegreeRules:
@@ -191,8 +166,6 @@ def _validated_mode(mode: str) -> str:
 def check_config(config: OrbifoldConfig, mode: str = WITH_EXCLUSIONS) -> ConstraintReport:
     """Full admissibility report for one configuration at its degree."""
     _validated_mode(mode)
-    if config.degree is None:
-        raise ValueError("check_config needs the degeneration degree")
     rules = _DEGREE_RULES[config.degree]
     try:
         hrr = invariants.hrr_milnor_check(config)
@@ -267,7 +240,7 @@ def _degree_table(degree: int) -> tuple[TypeTable, list[list[tuple[str, str]]]]:
 
     Pieces cover every count the search can reach.  Built on first use.
     """
-    table = TypeTable(_ALLOWED_TYPES[degree], degree)
+    table = TypeTable(_DEGREE_RULES[degree].allowed_types, degree)
     pieces = [
         [_piece(s, c) for c in range(table.budget // t + 1)]
         for s, (_, _, t) in zip(table.types, table.rows)
@@ -307,8 +280,8 @@ class _SearchReports(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
         if self._built[i] is None:
-            types, vector = _ALLOWED_TYPES[self.degree], self.rows[i][0]
-            config = OrbifoldConfig.from_counts(self.degree, types, vector)
+            types = _DEGREE_RULES[self.degree].allowed_types
+            config = OrbifoldConfig.from_counts(self.degree, types, self.rows[i][0])
             self._built[i] = check_config(config, self.mode)
         return self._built[i]
 

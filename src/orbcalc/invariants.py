@@ -51,7 +51,7 @@ MIN_BUBBLE_ENERGY_UNITS = Fraction(3, 4)
 class OrbifoldConfig:
     """A degree plus a multiset of singularities, with optional topology data."""
 
-    degree: Optional[int]
+    degree: int
     singularities: tuple[SingularityType, ...]
     euler_topological: Optional[int] = None
     picard_rank: Optional[int] = None
@@ -62,7 +62,7 @@ class OrbifoldConfig:
         ordered = tuple(sorted(self.singularities, key=catalog.sort_key))
         object.__setattr__(self, "singularities", ordered)
         object.__setattr__(self, "counts", Counter(ordered))
-        if self.degree is not None and not 1 <= self.degree <= 4:
+        if self.degree not in range(1, 5):
             raise ValueError("Del Pezzo degeneration degree must be in 1..4")
         if self.picard_rank is not None and self.picard_rank < 1:
             raise ValueError("Picard rank must be positive")
@@ -70,7 +70,7 @@ class OrbifoldConfig:
     @classmethod
     def from_counts(
         cls,
-        degree: Optional[int],
+        degree: int,
         types: Sequence[SingularityType],
         vector: Sequence[int],
     ) -> "OrbifoldConfig":
@@ -272,8 +272,6 @@ def hrr_milnor_check(config: OrbifoldConfig) -> HrrMilnorReport:
     The three sums are integer dot products over a one-off
     :class:`TypeTable` of the configuration's distinct types.
     """
-    if config.degree is None:
-        raise ValueError("hrr_milnor_check needs the degeneration degree")
     counts = config.counts
     table = TypeTable(tuple(counts), config.degree)
     scale = table.scale

@@ -1,7 +1,11 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbcalc.catalog import (
     ADE,
@@ -18,6 +22,9 @@ from orbcalc.catalog import (
     parse_singularity_list,
     sort_key,
 )
+from orbcalc.dedekind import sigma
+from orbcalc.enumerator import check_config
+from orbcalc.invariants import OrbifoldConfig
 
 A = lambda k: ADE("A", k)
 D = lambda k: ADE("D", k)
@@ -89,6 +96,41 @@ def test_cyclic_weight_normalization():
     assert Q(9, 2, 1) == Q(9, 1, 2)
     assert Q(8, -5, 1) == Q(8, 1, 3)
     assert Q(7, 6, 3) == Q(7, 3, 6)
+
+
+def test_cyclic_types_are_equal_exactly_when_isomorphic():
+    # 1/r(b1,b2) and 1/r(c1,c2) are one point exactly when (c1,c2) is a unit
+    # multiple of (b1,b2) or of (b2,b1): the orbits, by brute force, must be
+    # the classes of equal types, each named by its normal form 1/r(1,q), q <= q*
+    for r in range(2, 30):
+        units = [u for u in range(1, r) if math.gcd(u, r) == 1]
+        classes = {}
+        for b1, b2 in itertools.product(units, repeat=2):
+            classes.setdefault(Q(r, b1, b2), set()).add((b1, b2))
+        for s, members in classes.items():
+            assert s.b1 == 1 and s.b2 <= pow(s.b2, -1, r), s
+            b1, b2 = next(iter(members))
+            orbit = {(u * b1 % r, u * b2 % r) for u in units}
+            assert members == orbit | {(c2, c1) for c1, c2 in orbit}, s
+
+
+@st.composite
+def _cyclic_spelling(draw):
+    r = draw(st.integers(min_value=2, max_value=200))
+    units = st.sampled_from([b for b in range(-r, 2 * r) if math.gcd(b, r) == 1])
+    return r, draw(units), draw(units), draw(units)
+
+
+@given(_cyclic_spelling())
+@settings(max_examples=200, deadline=None)
+def test_unit_scaled_and_swapped_spellings_are_one_point(spelling):
+    r, b1, b2, u = spelling
+    points = [Q(r, b1, b2), Q(r, u * b1, u * b2), Q(r, b2, b1)]
+    assert points[0] == points[1] == points[2]
+    # mu of the raw spelling, by the Dedekind-sum rule before normalization
+    assert mu_anticanonical(points[0]) == sigma(r, (b1, b2), r + (-(b1 + b2)) % r)
+    verdicts = [check_config(OrbifoldConfig(1, (s,))).verdicts() for s in points]
+    assert verdicts[0] == verdicts[1] == verdicts[2]
 
 
 def test_type_validation():

@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import pkgutil
 import time
@@ -176,6 +177,14 @@ def test_check_admissible_example(capsys):
     assert blob["derived_picard_rank"] == {"num": 1, "den": 1}
     assert blob["chi_orb_if_chi_known"] == {"num": 1, "den": 3}
     assert blob["chi_limit"] == {"num": 11, "den": 1}
+
+
+@pytest.mark.parametrize("spelling", ["1/4(3,3)", "1/9(2,4)", "1/9(1,5)", "1/9(5,7)"])
+def test_check_admits_an_allowed_point_under_any_spelling(capsys, spelling):
+    code, out, _ = run(capsys, "check", "--degree", "1", "--sings", spelling)
+    assert code == 0
+    assert "types allowed for degree: yes" in out.splitlines()
+    assert "verdict: admissible" in out.splitlines()
 
 
 def test_check_untabulated_type_is_domain_error(capsys):
@@ -394,7 +403,8 @@ def test_all_lists_exactly_the_public_bindings():
 _SMALL_INTS = st.sampled_from([*map(str, range(-3, 61)), _OVER_CAP])
 _TYPE_NAMES = st.sampled_from(
     ["A1", "A4", "A8", "A0", "D4", "D5", "E6", "E9", "B2", f"A{_OVER_CAP}",
-     "1/4(1,1)", "1/8(1,3)", "1/9(1,2)", "1/5(1,2)", "1/6(2,3)", "1/1(1,1)"]
+     "1/4(1,1)", "1/8(1,3)", "1/9(1,2)", "1/5(1,2)", "1/6(2,3)", "1/1(1,1)",
+     "1/4(3,3)", "1/8(5,7)", "1/9(5,7)"]
 )
 _SINGS = st.lists(
     st.tuples(st.integers(min_value=0, max_value=12), _TYPE_NAMES).map(
@@ -474,3 +484,32 @@ def test_fuzzed_argv_ends_in_result_verdict_or_one_line_error(argv):
     if code == 1:
         assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
     assert elapsed < 5.0, argv
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+# a unit-scaled or swapped spelling of an allowed cyclic type names the same
+# point, so check prints what it prints for the canonical spelling; the units
+# are prime to 6, so they are units modulo each order, 4, 8 and 9
+_UNITS = st.sampled_from([u for u in range(-20, 21) if math.gcd(u, 6) == 1])
+
+
+@given(
+    st.sampled_from([(4, 1, 1), (8, 1, 3), (9, 1, 2)]), _UNITS, st.booleans(), _SINGS,
+    st.sampled_from(["text", "json"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_unit_scaled_spelling_checks_like_the_canonical_one(point, unit, swap, rest, fmt):
+    r, b1, b2 = point
+    scaled = (unit * b2, unit * b1) if swap else (unit * b1, unit * b2)
+    argv = ["check", "--degree", "1", "--format", fmt, "--sings"]
+    outputs = [_stdout(argv + [f"{rest}, 1/{r}({w1},{w2})"]) for w1, w2 in ((b1, b2), scaled)]
+    assert outputs[0] == outputs[1]

@@ -299,6 +299,68 @@ def test_du_val_classification_rules():
     assert not d3_rule.passes((A(1), A(2)))
 
 
+# The four rule bodies as they were written before the rules became data,
+# kept as the reference the data rules must agree with.
+
+
+def _reference_d4(counts):
+    return set(counts) == {A(1)} and sum(counts.values()) in (2, 4)
+
+
+def _reference_d3(counts):
+    if set(counts) == {A(1)}:
+        return True
+    return counts == Counter({A(2): 3})
+
+
+def _reference_d2(counts):
+    if set(counts) <= {A(1), A(2)}:
+        return True
+    return counts == Counter({A(3): 2})
+
+
+def _reference_d1(counts):
+    if all(s.family == "A" and s.index <= 7 for s in counts):
+        return True
+    return counts == Counter({D(4): 2})
+
+
+_REFERENCE_BODIES = {4: _reference_d4, 3: _reference_d3, 2: _reference_d2, 1: _reference_d1}
+
+
+def _reference_rule(degree, counts):
+    if not counts or not all(isinstance(s, ADE) for s in counts):
+        return True
+    return _REFERENCE_BODIES[degree](counts)
+
+
+def test_data_rules_agree_with_reference_bodies():
+    pool = [A(k) for k in range(1, 10)] + [D(4), D(5)]
+    multisets = [
+        Counter(points)
+        for size in range(7)  # size 0 is the empty configuration
+        for points in itertools.combinations_with_replacement(pool, size)
+    ]
+    companions = [counts + Counter({Q(4, 1, 1): 1}) for counts in multisets if len(counts) <= 3]
+    assert Counter() in multisets and companions
+    for rule in EXCLUSION_RULES:
+        for counts in multisets + companions:
+            assert rule(counts) == _reference_rule(rule.degree, counts), (rule.name, counts)
+
+
+def test_rules_are_one_row_per_degree_and_hashable():
+    assert [(r.name, r.degree) for r in EXCLUSION_RULES] == [
+        (f"du-val-classification-d{d}", d) for d in (4, 3, 2, 1)
+    ]
+    for degree in (1, 2, 3, 4):
+        rules = rules_for_degree(degree)
+        assert rules.budget == 12 - degree
+        assert list(rules.allowed_types) == sorted(rules.allowed_types, key=sort_key)
+        hash(rules)  # an unhashable field, a Counter say, raises TypeError
+        assert set(rules.exclusion_rules) <= set(EXCLUSION_RULES)
+    assert len(set(EXCLUSION_RULES)) == 4
+
+
 def test_smooth_case_reported_separately():
     result = enumerate_configurations(3)
     assert result.smooth.is_smooth
